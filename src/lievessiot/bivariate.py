@@ -8,13 +8,7 @@ monomials u**i * v**j.
 
 from __future__ import annotations
 
-from .scalars import GaussianRational, ZERO
-
-
-def _as_gauss(c):
-    if isinstance(c, GaussianRational):
-        return c
-    return GaussianRational(c)
+from .scalars import GaussianRational, ZERO, _as_gauss
 
 
 class Poly2:

@@ -157,48 +157,48 @@ def _cmd_flag(args) -> int:
     return 0
 
 
-def _cmd_reduce_plane(args) -> int:
+def _cmd_reduce(args) -> int:
     a = _apply_permute(parse_matrix(_payload(args, args.A)), args.permute)
     lam = parse_matrix(_maybe_file(args.L))
     field = AutomorphicField(a)
-    plane = homspace.PlaneCoords(a.rows, args.m, lam)
+    if args.command == "reduce-plane":
+        coords = homspace.PlaneCoords(a.rows, args.m, lam)
+        reduce, shape = homspace.reduce_by_plane, "block"
+    else:
+        coords = homspace.FlagCoords(lam)
+        reduce, shape = homspace.reduce_by_flag, "Borel"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NotASolutionWarning)
-        result = homspace.reduce_by_plane(field, plane)
-    lines = [
-        f"tau = {format_matrix(result.tau.sigma)}",
-        f"B = {format_matrix(result.field.matrix)}",
-        "solution: yes" if result.is_solution else "solution: NO (block shape not guaranteed)",
-    ]
-    _emit(args, lines, {"command": "reduce-plane",
-                        "tau": format_matrix(result.tau.sigma),
-                        "B": format_matrix(result.field.matrix),
-                        "is_solution": result.is_solution})
+        result = reduce(field, coords)
+    tau = format_matrix(result.tau.sigma)
+    b = format_matrix(result.field.matrix)
+    verdict = "yes" if result.is_solution else f"NO ({shape} shape not guaranteed)"
+    _emit(args, [f"tau = {tau}", f"B = {b}", f"solution: {verdict}"],
+          {"command": args.command, "tau": tau, "B": b, "is_solution": result.is_solution})
     return 0 if result.is_solution else 2
 
 
-def _cmd_reduce_flag(args) -> int:
-    a = _apply_permute(parse_matrix(_payload(args, args.A)), args.permute)
-    lam = parse_matrix(_maybe_file(args.L))
-    field = AutomorphicField(a)
-    flag = homspace.FlagCoords(lam)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NotASolutionWarning)
-        result = homspace.reduce_by_flag(field, flag)
-    lines = [
-        f"tau = {format_matrix(result.tau.sigma)}",
-        f"B = {format_matrix(result.field.matrix)}",
-        "solution: yes" if result.is_solution else "solution: NO (Borel shape not guaranteed)",
-    ]
-    _emit(args, lines, {"command": "reduce-flag",
-                        "tau": format_matrix(result.tau.sigma),
-                        "B": format_matrix(result.field.matrix),
-                        "is_solution": result.is_solution})
-    return 0 if result.is_solution else 2
+# Arguments each check kind reads besides the payload --A (which _payload
+# requires itself).
+_CHECK_NEEDS = {
+    "integral": ("a", "b"),
+    "exponential": ("a", "b"),
+    "automorphic": ("sigma",),
+    "riccati": ("L", "m"),
+    "flag": ("L",),
+    "weierstrass": ("g2", "g3", "a", "b"),
+    "subalgebra": ("shape",),
+}
 
 
 def _cmd_check(args) -> int:
     kind = args.kind
+    needs = _CHECK_NEEDS.get(kind, ())
+    if kind == "subalgebra" and args.shape == "block_upper":
+        needs += ("m",)
+    missing = [f"--{name}" for name in needs if getattr(args, name) is None]
+    if missing:
+        raise ToolkitError(f"check --kind {kind} requires {', '.join(missing)}")
     if kind == "integral":
         ok = parse_ratfunc(_maybe_file(args.b)).derive() == parse_ratfunc(_maybe_file(args.a))
     elif kind == "exponential":
@@ -366,14 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--permute")
     common(p)
-    p.set_defaults(func=_cmd_reduce_plane)
+    p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("reduce-flag", help="gauge A to upper-triangular form from a flag solution")
     p.add_argument("--A")
     p.add_argument("--L", required=True, help="unit-lower-triangular flag coordinates")
     p.add_argument("--permute")
     common(p)
-    p.set_defaults(func=_cmd_reduce_flag)
+    p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("check", help="exact solution checks (exit 2 when false)")
     p.add_argument("--kind", required=True,

@@ -30,14 +30,8 @@ from __future__ import annotations
 from .bivariate import Poly2
 from .errors import ChartDenominatorVanishes, DiagonalPoint, DimensionMismatch
 from .matrix import MatK
-from .ratfunc import RatFunc, RF_ZERO
+from .ratfunc import RatFunc, RF_ZERO, _as_rf
 from .scalars import GaussianRational, I, ONE, ZERO
-
-
-def _as_rf(x) -> RatFunc:
-    if isinstance(x, RatFunc):
-        return x
-    return RatFunc.const(x)
 
 
 _I_RF = RatFunc.const(I)

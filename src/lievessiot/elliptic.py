@@ -24,14 +24,8 @@ from dataclasses import dataclass
 from .bivariate import Poly2
 from .errors import (DegenerateEnergy, NotOnCurve, PointCollision,
                      RelationViolated, SingularCurve, ZeroCoefficient)
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, _as_rf
 from .scalars import GaussianRational
-
-
-def _as_rf(x) -> RatFunc:
-    if isinstance(x, RatFunc):
-        return x
-    return RatFunc.const(x)
 
 
 class WeierstrassCurve:

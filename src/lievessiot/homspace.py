@@ -9,8 +9,11 @@ and the strictly-lower flag coordinates (the unit-lower factor of the
 LU decomposition of a fundamental matrix) satisfy the polynomial flag
 equation (cubic for n <= 3; see flag_table).  A rational solution on the grassmanian (resp. the flag
 variety) yields a gauge transformation taking the automorphic field to
-block-upper (resp. upper-triangular) form; both reductions are
-implemented and the conclusion shape is checked.
+block-upper (resp. upper-triangular) form.  Both reductions compute the
+gauged field once, in closed form: B = [[A11 + A12 L, A12],
+[Riccati rhs - L', A22 - L A12]] for planes, B = L^{-1}(A L - L') for
+flags; the verdict is read off B, since L solves its system iff B has
+that shape.
 
 Charts are fixed to the standard basis order.  When a chart minor
 vanishes the operation fails with the offending index rather than
@@ -22,8 +25,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .automorphic import AutomorphicField, GroupElement, gauge_transform
-from .errors import BadBlockSize, ChartMinorVanishes, DimensionMismatch
+from .automorphic import AutomorphicField, GroupElement
+from .errors import BadBlockSize, ChartMinorVanishes, DimensionMismatch, Singular
 from .matrix import MatK
 from .ratfunc import RF_ONE, RF_ZERO, RatFunc
 from .scalars import GaussianRational
@@ -119,7 +122,7 @@ class FlagSystem:
 def riccati_generate(a: AutomorphicField, m: int) -> RiccatiSystem:
     """Build the matrix Riccati system of the m-plane chart from A."""
     n = a.n
-    if not 1 <= m < n:
+    if m is None or not 1 <= m < n:
         raise BadBlockSize(f"plane dimension {m} invalid for rank {n}")
     return RiccatiSystem(n, m, a.matrix.block_split(m))
 
@@ -143,10 +146,12 @@ def plucker_coords(x: MatK, m: int) -> PlaneCoords:
     if x.cols != m or not 1 <= m < n:
         raise BadBlockSize(f"expected an n x m matrix with 1 <= m < n, got {x.rows}x{x.cols}")
     top = MatK(m, m, [x[i, j] for i in range(m) for j in range(m)])
-    if top.det().is_zero():
-        raise ChartMinorVanishes("top m x m minor vanishes; the plane leaves the chart")
+    try:
+        top_inv = top.inverse()
+    except Singular:
+        raise ChartMinorVanishes("top m x m minor vanishes; the plane leaves the chart") from None
     bottom = MatK(n - m, m, [x[i, j] for i in range(m, n) for j in range(m)])
-    return PlaneCoords(n, m, bottom * top.inverse())
+    return PlaneCoords(n, m, bottom * top_inv)
 
 
 def flag_coords(tau: GroupElement) -> FlagCoords:
@@ -347,42 +352,50 @@ class ReductionResult:
 
 
 def reduce_by_plane(a: AutomorphicField, plane: PlaneCoords) -> ReductionResult:
-    """Gauge A by the inverse of [[I, 0], [Lambda, I]].
+    """Gauge A by tau = [[I, 0], [-Lambda, I]], the inverse of [[I, 0], [Lambda, I]].
 
-    When Lambda solves the matrix Riccati system the result has an
-    identically zero (2,1) block (the stabilizer of the standard
-    m-plane); otherwise a NotASolutionWarning is emitted and the
-    partially reduced field is still returned.
+    The gauged field tau A tau^{-1} + tau' tau^{-1} is, in closed form,
+    B = [[A11 + A12 Lambda, A12], [riccati_rhs - Lambda', A22 - Lambda A12]],
+    so Lambda solves the matrix Riccati system iff the (2,1) block of B
+    vanishes (the stabilizer of the standard m-plane), and the verdict
+    is read off B.  For a non-solution a NotASolutionWarning is emitted
+    and B is still returned.
     """
     n, m = plane.n, plane.m
     if a.n != n:
         raise DimensionMismatch("field and plane rank mismatch")
+    sys_ = riccati_generate(a, m)
     lam = plane.Lambda
-    tau_mat = MatK.block_join(MatK.identity(m), MatK.zero(m, n - m), -lam, MatK.identity(n - m))
-    tau = GroupElement(tau_mat)
-    b = gauge_transform(tau, a)
-    ok = riccati_check_solution(riccati_generate(a, m), plane)
+    tau = GroupElement(MatK.block_join(MatK.identity(m), MatK.zero(m, n - m),
+                                       -lam, MatK.identity(n - m)))
+    b21 = riccati_rhs(sys_, plane) - lam.derive()
+    b = MatK.block_join(sys_.a11 + sys_.a12 * lam, sys_.a12, b21, sys_.a22 - lam * sys_.a12)
+    ok = b21.is_zero()
     if not ok:
         warnings.warn("plane is not a Riccati solution; block shape not guaranteed",
                       NotASolutionWarning, stacklevel=2)
-    return ReductionResult(tau, b, ok)
+    return ReductionResult(tau, AutomorphicField(b), ok)
 
 
 def reduce_by_flag(a: AutomorphicField, flag: FlagCoords) -> ReductionResult:
-    """Gauge A by the inverse of the flag coordinate matrix.
+    """Gauge A by tau = L^{-1}, the inverse of the flag coordinate matrix.
 
-    When the coordinates solve the flag system the result is upper
-    triangular (Borel form); otherwise a NotASolutionWarning is emitted.
+    The gauged field is B = L^{-1}(A L - L').  It is upper triangular
+    (Borel form) iff L' = A L - L V for some upper-triangular V, which
+    is unique, i.e. iff L solves the flag system; so the verdict is read
+    off the strictly-lower part of B.  For a non-solution a
+    NotASolutionWarning is emitted and B is still returned.
     """
     if a.n != flag.n:
         raise DimensionMismatch("field and flag rank mismatch")
-    tau = GroupElement(flag.lam.inverse())
-    b = gauge_transform(tau, a)
-    ok = flag_check_solution(flag_generate(a), flag)
+    lam = flag.lam
+    tau = GroupElement(lam.inverse())
+    b = tau.sigma * (a.matrix * lam - lam.derive())
+    ok = all(b[i, j].is_zero() for i in range(b.rows) for j in range(i))
     if not ok:
         warnings.warn("coordinates do not solve the flag system; Borel shape not guaranteed",
                       NotASolutionWarning, stacklevel=2)
-    return ReductionResult(tau, b, ok)
+    return ReductionResult(tau, AutomorphicField(b), ok)
 
 
 # ---------------------------------------------------------------------------

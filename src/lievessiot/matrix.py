@@ -9,13 +9,7 @@ because arithmetic is exact.
 from __future__ import annotations
 
 from .errors import BadBlockSize, DimensionMismatch, PrincipalMinorVanishes, Singular
-from .ratfunc import RF_ONE, RF_ZERO, RatFunc
-
-
-def _as_rf(x) -> RatFunc:
-    if isinstance(x, RatFunc):
-        return x
-    return RatFunc.const(x)
+from .ratfunc import RF_ONE, RF_ZERO, RatFunc, _as_rf
 
 
 class MatK:

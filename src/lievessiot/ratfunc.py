@@ -11,13 +11,7 @@ from __future__ import annotations
 import math
 
 from .errors import DivisionByZero, PoleAtPoint
-from .scalars import GaussianRational, ONE, ZERO
-
-
-def _as_gauss(c) -> GaussianRational:
-    if isinstance(c, GaussianRational):
-        return c
-    return GaussianRational(c)
+from .scalars import GaussianRational, ONE, ZERO, _as_gauss
 
 
 class Poly:
@@ -437,6 +431,12 @@ class RatFunc:
         from .parsing import format_ratfunc
 
         return format_ratfunc(self)
+
+
+def _as_rf(x) -> RatFunc:
+    if isinstance(x, RatFunc):
+        return x
+    return RatFunc.const(x)
 
 
 RF_ZERO = RatFunc.const(0)

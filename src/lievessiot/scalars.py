@@ -135,6 +135,12 @@ class GaussianRational:
         return format_gaussian(self)
 
 
+def _as_gauss(c) -> GaussianRational:
+    if isinstance(c, GaussianRational):
+        return c
+    return GaussianRational(c)
+
+
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)

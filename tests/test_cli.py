@@ -154,6 +154,21 @@ def test_syntax_error_exit1(capsys):
     assert "error[SyntaxError]" in err
 
 
+@pytest.mark.parametrize("argv, missing", [
+    (["--kind", "riccati", "--A", "[0, 0; 1, 0]", "--L", "[t]"], "--m"),
+    (["--kind", "subalgebra", "--A", "[0, 0; 1, 0]", "--shape", "block_upper"], "--m"),
+    (["--kind", "subalgebra", "--A", "[0, 0; 1, 0]"], "--shape"),
+    (["--kind", "automorphic", "--A", "[0, 1; 0, 0]"], "--sigma"),
+    (["--kind", "flag", "--A", "[0, 0; 1, 0]"], "--L"),
+    (["--kind", "integral", "--a", "2*t"], "--b"),
+    (["--kind", "weierstrass", "--a", "1", "--b", "t"], "--g2, --g3"),
+])
+def test_check_missing_argument_exit1(capsys, argv, missing):
+    code, out, err = run_cli(capsys, "check", *argv)
+    assert code == 1 and out == ""
+    assert err == f"error[ToolkitError]: check {argv[0]} {argv[1]} requires {missing}\n"
+
+
 def test_input_file(tmp_path, capsys):
     path = tmp_path / "field.txt"
     path.write_text("[t, 1; 0, -t]")

@@ -3,7 +3,8 @@ import warnings
 
 import pytest
 
-from lievessiot.automorphic import AutomorphicField, GroupElement, log_deriv
+from lievessiot.automorphic import (AutomorphicField, GroupElement,
+                                   gauge_transform, log_deriv)
 from lievessiot.errors import (BadBlockSize, ChartMinorVanishes,
                                DimensionMismatch)
 from lievessiot.homspace import (FlagCoords, NotASolutionWarning, PlaneCoords,
@@ -17,7 +18,7 @@ from lievessiot.matrix import MatK
 from lievessiot.parsing import parse_matrix
 from lievessiot.ratfunc import RF_ONE, RF_T, RF_ZERO, RatFunc
 
-from support import rand_fundamental
+from support import rand_fundamental, rand_poly, rand_ratfunc
 
 
 def _first_cols(m, k):
@@ -44,6 +45,8 @@ def test_riccati_generate_validates_m():
         riccati_generate(a, 0)
     with pytest.raises(BadBlockSize):
         riccati_generate(a, 3)
+    with pytest.raises(BadBlockSize):
+        riccati_generate(a, None)
 
 
 def test_riccati_rhs_matches_table_evaluation():
@@ -167,3 +170,71 @@ def test_riccati_n2_scalar_equation():
     assert table[()] == RatFunc.const(3)
     assert table[((1, 1),)] == RF_ONE - RF_T
     assert table[((1, 1), (1, 1))] == RatFunc.const(-2)
+
+
+def _bumped(mat, i, j):
+    entries = list(mat.entries)
+    entries[i * mat.cols + j] = entries[i * mat.cols + j] + RF_T
+    return MatK(mat.rows, mat.cols, entries)
+
+
+def _unit_lower(n, entry):
+    return MatK(n, n, [RF_ONE if i == j else RF_ZERO if i < j else entry()
+                       for i in range(n) for j in range(n)])
+
+
+def _reduction_inputs(rng, n):
+    """(A, tau) pairs; tau is None for a random A with rational entries.
+
+    A = l(tau) is polynomial for a unit-lower tau of degree 1 and
+    rational for a general fundamental tau.
+    """
+    for tau in (_unit_lower(n, lambda: RatFunc(rand_poly(rng, 1))),
+                rand_fundamental(rng, n, 1)):
+        yield AutomorphicField(log_deriv(GroupElement(tau)).matrix), tau
+    yield AutomorphicField(MatK(n, n, [rand_ratfunc(rng, 1) for _ in range(n * n)])), None
+
+
+def _reduce_recording(reduce, a, coords):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = reduce(a, coords)
+    assert [w.category for w in caught] == ([] if result.is_solution else [NotASolutionWarning])
+    return result
+
+
+def test_reduce_by_plane_matches_gauge_reference():
+    rng = random.Random(48)
+    for n in (2, 3, 4):
+        for a, tau in _reduction_inputs(rng, n):
+            for m in range(1, n):
+                if tau is None:
+                    lam = MatK(n - m, m, [rand_ratfunc(rng, 1) for _ in range((n - m) * m)])
+                    cases = [(PlaneCoords(n, m, lam), False)]
+                else:
+                    good = plucker_coords(_first_cols(tau, m), m)
+                    cases = [(good, True), (PlaneCoords(n, m, _bumped(good.Lambda, 0, 0)), False)]
+                for plane, expected in cases:
+                    result = _reduce_recording(reduce_by_plane, a, plane)
+                    assert result.tau.sigma == MatK.block_join(
+                        MatK.identity(m), MatK.zero(m, n - m), -plane.Lambda, MatK.identity(n - m))
+                    assert result.field == gauge_transform(result.tau, a)
+                    assert result.is_solution is riccati_check_solution(
+                        riccati_generate(a, m), plane) is expected
+
+
+def test_reduce_by_flag_matches_gauge_reference():
+    rng = random.Random(49)
+    for n in (2, 3, 4):
+        for a, tau in _reduction_inputs(rng, n):
+            if tau is None:
+                cases = [(FlagCoords(_unit_lower(n, lambda: rand_ratfunc(rng, 1))), False)]
+            else:
+                good = flag_coords(GroupElement(tau))
+                cases = [(good, True), (FlagCoords(_bumped(good.lam, 1, 0)), False)]
+            for flag, expected in cases:
+                result = _reduce_recording(reduce_by_flag, a, flag)
+                assert result.tau.sigma == flag.lam.inverse()
+                assert result.field == gauge_transform(result.tau, a)
+                assert result.is_solution is flag_check_solution(
+                    flag_generate(a), flag) is expected
