@@ -15,7 +15,7 @@ the one implemented and tested.)
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch, Singular
+from .errors import BadBlockSize, DimensionMismatch, Singular, ToolkitError
 from .matrix import MatK
 
 
@@ -116,9 +116,9 @@ def is_in_subalgebra(a: AutomorphicField, shape: str, m: int | None = None) -> b
         return all(mat[i, j].is_zero() for i in range(n) for j in range(i))
     if shape == "block_upper":
         if m is None:
-            raise ValueError("block_upper requires a block size m")
+            raise BadBlockSize("block_upper requires a block size m")
         _, _, a21, _ = mat.block_split(m)
         return a21.is_zero()
     if shape == "trace_zero":
         return mat.trace().is_zero()
-    raise ValueError(f"unknown subalgebra shape {shape!r}")
+    raise ToolkitError(f"unknown subalgebra shape {shape!r}")

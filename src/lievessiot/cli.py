@@ -20,11 +20,10 @@ from .automorphic import (AutomorphicField, GroupElement,
 from .errors import ToolkitError
 from .matrix import MatK
 from .homspace import NotASolutionWarning
-from .parsing import (format_canonical, format_gaussian, format_matrix,
-                      format_ratfunc, parse_gaussian, parse_matrix,
-                      parse_ratfunc)
+from .mpoly import MPoly
+from .parsing import (format_gaussian, format_matrix, format_ratfunc,
+                      parse_gaussian, parse_matrix, parse_ratfunc)
 from .ratfunc import RatFunc
-from .scalars import GaussianRational
 
 FORMAT_VERSION = 1
 
@@ -32,10 +31,18 @@ FORMAT_VERSION = 1
 # -- helpers ----------------------------------------------------------------
 
 
+def _read_file(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().strip()
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or NUL in the path
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ToolkitError(f"cannot read {path!r}: {reason}") from None
+
+
 def _maybe_file(value: str) -> str:
     if value is not None and value.startswith("@"):
-        with open(value[1:], "r", encoding="utf-8") as fh:
-            return fh.read().strip()
+        return _read_file(value[1:])
     return value
 
 
@@ -43,25 +50,29 @@ def _payload(args, flag_value):
     """Main payload may come from --input FILE instead of the flag."""
     if flag_value is None:
         if getattr(args, "input", None):
-            with open(args.input, "r", encoding="utf-8") as fh:
-                return fh.read().strip()
+            return _read_file(args.input)
         raise ToolkitError("missing required payload (flag or --input)")
     return _maybe_file(flag_value)
 
 
-def _permutation_matrix(perm, n) -> MatK:
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ToolkitError(f"--permute must be a permutation of 1..{n}")
-    rows = [[RatFunc.const(1 if perm[i] == j + 1 else 0) for j in range(n)]
-            for i in range(n)]
-    return MatK.from_rows(rows)
+def _require(args, command: str, names):
+    """Raise naming every argument in names that was not given."""
+    missing = [f"--{name}" for name in names if getattr(args, name) is None]
+    if missing:
+        raise ToolkitError(f"{command} requires {', '.join(missing)}")
 
 
 def _apply_permute(mat: MatK, permute: str | None) -> MatK:
     if not permute:
         return mat
-    perm = [int(p) for p in permute.split(",")]
-    p = _permutation_matrix(perm, mat.rows)
+    n = mat.rows
+    try:
+        perm = [int(p) for p in permute.split(",")]
+    except ValueError:
+        perm = []
+    if sorted(perm) != list(range(1, n + 1)):
+        raise ToolkitError(f"--permute must be a permutation of 1..{n}")
+    p = MatK.from_rows([[1 if perm[i] == j + 1 else 0 for j in range(n)] for i in range(n)])
     return p * mat * p.transpose()
 
 
@@ -135,25 +146,21 @@ def _emit(args, text_lines, record):
 # -- subcommand handlers ----------------------------------------------------
 
 
-def _cmd_riccati(args) -> int:
+def _cmd_table(args) -> int:
     a = _apply_permute(parse_matrix(_payload(args, args.A)), args.permute)
-    sys_ = homspace.riccati_generate(AutomorphicField(a), args.m)
-    tables = homspace.riccati_table(sys_)
+    field = AutomorphicField(a)
+    if args.command == "riccati":
+        sys_ = homspace.riccati_generate(field, args.m)
+        tables = homspace.riccati_table(sys_)
+        record = {"command": "riccati", "n": sys_.n, "m": sys_.m}
+    else:
+        sys_ = homspace.flag_generate(field)
+        tables = homspace.flag_table(sys_)
+        record = {"command": "flag", "n": sys_.n}
     names = _unknown_names(sys_.unknowns())
     lines = [_equation_text(names[u], tables[u], names) for u in sys_.unknowns()]
-    _emit(args, lines, {"command": "riccati", "n": sys_.n, "m": sys_.m,
-                        "equations": _equations_record(tables, names)})
-    return 0
-
-
-def _cmd_flag(args) -> int:
-    a = _apply_permute(parse_matrix(_payload(args, args.A)), args.permute)
-    sys_ = homspace.flag_generate(AutomorphicField(a))
-    tables = homspace.flag_table(sys_)
-    names = _unknown_names(sys_.unknowns())
-    lines = [_equation_text(names[u], tables[u], names) for u in sys_.unknowns()]
-    _emit(args, lines, {"command": "flag", "n": sys_.n,
-                        "equations": _equations_record(tables, names)})
+    record["equations"] = _equations_record(tables, names)
+    _emit(args, lines, record)
     return 0
 
 
@@ -196,9 +203,7 @@ def _cmd_check(args) -> int:
     needs = _CHECK_NEEDS.get(kind, ())
     if kind == "subalgebra" and args.shape == "block_upper":
         needs += ("m",)
-    missing = [f"--{name}" for name in needs if getattr(args, name) is None]
-    if missing:
-        raise ToolkitError(f"check --kind {kind} requires {', '.join(missing)}")
+    _require(args, f"check --kind {kind}", needs)
     if kind == "integral":
         ok = parse_ratfunc(_maybe_file(args.b)).derive() == parse_ratfunc(_maybe_file(args.a))
     elif kind == "exponential":
@@ -237,15 +242,15 @@ def _cmd_so3(args) -> int:
                              parse_ratfunc(_maybe_file(args.b)),
                              parse_ratfunc(_maybe_file(args.c)))
     q0, q1, q2 = darboux.so3_to_riccati(field)
-    table = {(): q0, (("x", 1),): q1, (("x", 1), ("x", 1)): q2}
-    table = {m: c for m, c in table.items() if not c.is_zero()}
-    names = {("x", 1): "x"}
-    lines = [_equation_text("x", table, names)]
+    x = MPoly.var("x")
+    lines = [_equation_text("x", q0 + q1 * x + q2 * x * x, {"x": "x"})]
     record = {"command": "so3",
               "q0": format_ratfunc(q0), "q1": format_ratfunc(q1),
               "q2": format_ratfunc(q2)}
     if args.check_point:
         coords = [parse_gaussian(c) for c in args.check_point.split(",")]
+        if len(coords) != 3:
+            raise ToolkitError("--check-point needs three coordinates x0,x1,x2")
         point = darboux.SpherePoint(*coords)
         t0 = parse_gaussian(args.at if args.at is not None else "0")
         ok = darboux.so3_pushforward_check(field, point, t0)
@@ -262,8 +267,10 @@ def _parse_point(src: str) -> elliptic.CurvePoint:
     src = src.strip()
     if src.lower() in ("inf", "infinity", "o"):
         return elliptic.CurvePoint.infinity()
-    x_str, y_str = src.split(",")
-    return elliptic.CurvePoint(parse_ratfunc(x_str), parse_ratfunc(y_str))
+    coords = src.split(",")
+    if len(coords) != 2:
+        raise ToolkitError(f"a point is 'x,y' or 'inf', got {src!r}")
+    return elliptic.CurvePoint(*(parse_ratfunc(c) for c in coords))
 
 
 def _format_point(p: elliptic.CurvePoint) -> str:
@@ -272,7 +279,12 @@ def _format_point(p: elliptic.CurvePoint) -> str:
     return f"{format_ratfunc(p.x)}, {format_ratfunc(p.y)}"
 
 
+# Arguments each elliptic action reads besides --g2 and --g3.
+_ELLIPTIC_NEEDS = {"add": ("P", "Q"), "check": ("a", "b"), "solve": ("a", "b", "point")}
+
+
 def _cmd_elliptic(args) -> int:
+    _require(args, f"elliptic {args.action}", _ELLIPTIC_NEEDS.get(args.action, ()))
     curve = elliptic.WeierstrassCurve(parse_gaussian(args.g2), parse_gaussian(args.g3))
     if args.action == "curve":
         report = elliptic.invariant_field_check(curve)
@@ -352,13 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--permute", help="basis permutation p1,...,pn")
     common(p)
-    p.set_defaults(func=_cmd_riccati)
+    p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("flag", help="generate the flag system")
     p.add_argument("--A", help="square matrix over K")
     p.add_argument("--permute")
     common(p)
-    p.set_defaults(func=_cmd_flag)
+    p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("reduce-plane", help="gauge A to block-upper form from a Riccati solution")
     p.add_argument("--A")

@@ -27,9 +27,10 @@ Display notes, machine-verified here and in the tests:
 
 from __future__ import annotations
 
-from .bivariate import Poly2
-from .errors import ChartDenominatorVanishes, DiagonalPoint, DimensionMismatch
+from .errors import (ChartDenominatorVanishes, DiagonalPoint, DimensionMismatch,
+                     DivisionByZero, NotOnSphere, ToolkitError)
 from .matrix import MatK
+from .mpoly import MPoly
 from .ratfunc import RatFunc, RF_ZERO, _as_rf
 from .scalars import GaussianRational, I, ONE, ZERO
 
@@ -70,7 +71,7 @@ class SpherePoint:
         self.x1 = GaussianRational(x1)
         self.x2 = GaussianRational(x2)
         if self.x0 * self.x0 + self.x1 * self.x1 + self.x2 * self.x2 != ONE:
-            raise ValueError("point is not on the unit sphere")
+            raise NotOnSphere("point is not on the unit sphere")
 
     def __eq__(self, other):
         if not isinstance(other, SpherePoint):
@@ -121,14 +122,14 @@ def sphere_from_symmetric(x: GaussianRational, y: GaussianRational) -> SpherePoi
     return SpherePoint((ONE - xy) / d, I * (ONE + xy) / d, (x + y) / d)
 
 
-def sphere_identity_residual() -> Poly2:
+def sphere_identity_residual() -> MPoly:
     """(1 - xy)^2 - (1 + xy)^2 + (x + y)^2 - (x - y)^2 as a polynomial.
 
     Identically zero: the image of sphere_from_symmetric satisfies
     x0^2 + x1^2 + x2^2 = 1 as a rational-function identity.
     """
-    x = Poly2.u()
-    y = Poly2.v()
+    x = MPoly.var("x")
+    y = MPoly.var("y")
     xy = x * y
     return (1 - xy) ** 2 - (1 + xy) ** 2 + (x + y) ** 2 - (x - y) ** 2
 
@@ -170,15 +171,22 @@ def so3_pushforward_check(field: SO3Field, p: SpherePoint, t0) -> bool:
 _AXES = (0, 1, 2)
 
 
+def _rotation_param(axis: int, lam) -> GaussianRational:
+    if axis not in _AXES:
+        raise ToolkitError("axis must be 0, 1 or 2")
+    lam = GaussianRational(lam)
+    if lam.is_zero():
+        raise DivisionByZero("rotation parameter must be nonzero")
+    return lam
+
+
 def rotation_matrix(axis: int, lam: GaussianRational) -> MatK:
     """One-parameter rotation family R_axis(lam) in SO(3, Q(i)).
 
     axis 0 fixes x0, axis 1 fixes x2, axis 2 fixes x1 (the three
     classical one-parameter families, in their printed order).
     """
-    lam = GaussianRational(lam)
-    if lam.is_zero():
-        raise ZeroDivisionError("rotation parameter must be nonzero")
+    lam = _rotation_param(axis, lam)
     c = (lam + ONE / lam) / GaussianRational(2)
     s = (lam - ONE / lam) / (GaussianRational(2) * I)
     z, o = ZERO, ONE
@@ -186,10 +194,8 @@ def rotation_matrix(axis: int, lam: GaussianRational) -> MatK:
         rows = [[o, z, z], [z, c, -s], [z, s, c]]
     elif axis == 1:
         rows = [[c, -s, z], [s, c, z], [z, z, o]]
-    elif axis == 2:
-        rows = [[c, z, -s], [z, o, z], [s, z, c]]
     else:
-        raise ValueError("axis must be 0, 1 or 2")
+        rows = [[c, z, -s], [z, o, z], [s, z, c]]
     return MatK.from_rows([[RatFunc.const(e) for e in row] for row in rows])
 
 
@@ -200,32 +206,27 @@ def rotation_to_moebius(axis: int, lam: GaussianRational):
     classical printed coefficient fails that check and the oracle-derived
     matrix is returned (see rotation_display_report).
     """
-    lam = GaussianRational(lam)
-    if lam.is_zero():
-        raise ZeroDivisionError("rotation parameter must be nonzero")
+    lam = _rotation_param(axis, lam)
     o = ONE
     if axis == 0:
         return ((lam + o, lam - o), (lam - o, lam + o))
     if axis == 1:
         return ((lam, ZERO), (ZERO, o))
-    if axis == 2:
-        return ((I * (lam + o), lam - o), (-(lam - o), I * (lam + o)))
-    raise ValueError("axis must be 0, 1 or 2")
+    return ((I * (lam + o), lam - o), (-(lam - o), I * (lam + o)))
 
 
 def displayed_moebius(axis: int, lam: GaussianRational):
-    """The classical printed Möbius for R_axis(lam), transcribed verbatim."""
-    lam = GaussianRational(lam)
-    o = ONE
-    if axis == 0:
-        return ((lam + o, lam - o), (lam - o, lam + o))
-    if axis == 1:
-        return ((lam, ZERO), (ZERO, o))
-    if axis == 2:
-        k = lam + o / lam + GaussianRational("1/2")
-        d = I * (lam - o / lam)
-        return ((k, -d), (-d, -k))
-    raise ValueError("axis must be 0, 1 or 2")
+    """The classical printed Möbius for R_axis(lam).
+
+    The prints for axes 0 and 1 are rotation_to_moebius; the axis 2
+    print is transcribed verbatim.
+    """
+    if axis != 2:
+        return rotation_to_moebius(axis, lam)
+    lam = _rotation_param(axis, lam)
+    k = lam + ONE / lam + GaussianRational("1/2")
+    d = I * (lam - ONE / lam)
+    return ((k, -d), (-d, -k))
 
 
 def moebius_apply(m, x: GaussianRational) -> GaussianRational:
@@ -262,7 +263,7 @@ def moebius_matches_rotation(axis: int, lam: GaussianRational, m) -> bool:
     """Pointwise conjugation oracle: does m act as R_axis(lam) on the x chart?"""
     checked = 0
     for coords in _ORACLE_POINTS:
-        p = SpherePoint(*(GaussianRational(_f(c)) for c in coords))
+        p = SpherePoint(*coords)
         try:
             x, _ = symmetric_coords(p)
             q = apply_rotation(axis, lam, p)
@@ -273,12 +274,6 @@ def moebius_matches_rotation(axis: int, lam: GaussianRational, m) -> bool:
         except ChartDenominatorVanishes:
             continue
     return checked >= 3
-
-
-def _f(c):
-    from fractions import Fraction
-
-    return Fraction(c) if isinstance(c, str) else c
 
 
 def rotation_display_report(lams=(2, 3, GaussianRational("1/2"))):

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bivariate import Poly2
 from .errors import (DegenerateEnergy, NotOnCurve, PointCollision,
                      RelationViolated, SingularCurve, ZeroCoefficient)
+from .mpoly import MPoly
 from .ratfunc import RatFunc, _as_rf
 from .scalars import GaussianRational
 
@@ -169,8 +169,8 @@ def paper_addition(curve: WeierstrassCurve, a, b, db, p0: CurvePoint):
 
 @dataclass(frozen=True)
 class TangencyReport:
-    displayed_residual: Poly2
-    tangent_residual: Poly2
+    displayed_residual: MPoly
+    tangent_residual: MPoly
     displayed_is_tangent: bool
     adopted_coefficient: str
 
@@ -183,15 +183,13 @@ def invariant_field_check(curve: WeierstrassCurve) -> TangencyReport:
     g(x) = 6x^2 - g2/2, and reports the residuals.  Only the halved
     coefficient annihilates F identically.
     """
-    x = Poly2.u()
-    y = Poly2.v()
-    g2 = Poly2.const(curve.g2)
-    g3 = Poly2.const(curve.g3)
-    f = y * y - 4 * x * x * x + g2 * x + g3
-    fx = f.deriv_u()
-    fy = f.deriv_v()
-    displayed = y * fx + (12 * x * x - g2) * fy
-    halved = y * fx + (6 * x * x - Poly2.const(curve.g2 / GaussianRational(2))) * fy
+    x = MPoly.var("x")
+    y = MPoly.var("y")
+    f = y * y - 4 * x * x * x + curve.g2 * x + curve.g3
+    fx = f.derivative("x")
+    fy = f.derivative("y")
+    displayed = y * fx + (12 * x * x - curve.g2) * fy
+    halved = y * fx + (6 * x * x - curve.g2 / GaussianRational(2)) * fy
     return TangencyReport(
         displayed_residual=displayed,
         tangent_residual=halved,
@@ -219,28 +217,26 @@ class PendulumAudit:
     rhs: tuple
 
 
-def _pendulum_sides(h: Poly2):
-    """Both sides of the normal-form substitution, as polynomials in (u, h).
+def _pendulum_sides(h):
+    """Both sides of the normal-form substitution, as polynomials in u.
 
     Substituting z = -4u - 2h/3 into -(z^3 + 2h z^2 + 1)/16 must give
-    4u^3 - (h^2/3) u - (h^3/27 + 1/16).
+    4u^3 - (h^2/3) u - (h^3/27 + 1/16); h is a constant or an MPoly.
     """
-    u = Poly2.u()
+    u = MPoly.var("u")
     third = GaussianRational("1/3")
-    z = -4 * u - Poly2.const(GaussianRational(2) * third) * h if isinstance(h, Poly2) else None
-    if z is None:
-        raise TypeError("h must be a Poly2")
     sixteenth = GaussianRational("1/16")
-    lhs = -(z * z * z + 2 * h * z * z + 1) * Poly2.const(sixteenth)
-    g2 = h * h * Poly2.const(third)
-    g3 = h * h * h * Poly2.const(GaussianRational("1/27")) + Poly2.const(sixteenth)
+    z = -4 * u - 2 * third * h
+    lhs = -(z * z * z + 2 * h * z * z + 1) * sixteenth
+    g2 = h * h * third
+    g3 = h * h * h * GaussianRational("1/27") + sixteenth
     rhs = 4 * u * u * u - g2 * u - g3
     return lhs, rhs
 
 
 def pendulum_substitution_identity() -> bool:
     """The normal-form substitution identity with h a free indeterminate."""
-    lhs, rhs = _pendulum_sides(Poly2.v())
+    lhs, rhs = _pendulum_sides(MPoly.var("h"))
     return lhs == rhs
 
 
@@ -255,10 +251,10 @@ def pendulum_normal_form(params: PendulumParams):
     g2 = h * h / GaussianRational(3)
     g3 = h * h * h / GaussianRational(27) + GaussianRational("1/16")
     curve = WeierstrassCurve(g2, g3)
-    lhs, rhs = _pendulum_sides(Poly2.const(h))
+    lhs, rhs = _pendulum_sides(h)
     audit = PendulumAudit(
         holds=(lhs == rhs),
-        lhs=tuple(sorted(lhs.terms.items())),
-        rhs=tuple(sorted(rhs.terms.items())),
+        lhs=tuple(sorted(lhs.items())),
+        rhs=tuple(sorted(rhs.items())),
     )
     return curve, audit

@@ -44,6 +44,10 @@ class ChartDenominatorVanishes(ToolkitError):
     code = "ChartDenominatorVanishes"
 
 
+class NotOnSphere(ToolkitError, ValueError):
+    code = "NotOnSphere"
+
+
 class DiagonalPoint(ToolkitError):
     code = "DiagonalPoint"
 

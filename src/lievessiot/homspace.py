@@ -7,7 +7,7 @@ spanning n x m matrix) satisfy the matrix Riccati equation
 
 and the strictly-lower flag coordinates (the unit-lower factor of the
 LU decomposition of a fundamental matrix) satisfy the polynomial flag
-equation (cubic for n <= 3; see flag_table).  A rational solution on the grassmanian (resp. the flag
+equation (cubic for n <= 3; see flag_rhs).  A rational solution on the grassmanian (resp. the flag
 variety) yields a gauge transformation taking the automorphic field to
 block-upper (resp. upper-triangular) form.  Both reductions compute the
 gauged field once, in closed form: B = [[A11 + A12 L, A12],
@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from .automorphic import AutomorphicField, GroupElement
 from .errors import BadBlockSize, ChartMinorVanishes, DimensionMismatch, Singular
 from .matrix import MatK
-from .ratfunc import RF_ONE, RF_ZERO, RatFunc
+from .mpoly import MPoly
+from .ratfunc import RF_ONE, RF_ZERO
 from .scalars import GaussianRational
 
 
@@ -93,10 +94,6 @@ class RiccatiSystem:
         self.n = n
         self.m = m
         self.a11, self.a12, self.a21, self.a22 = blocks
-
-    @property
-    def blocks(self):
-        return self.a11, self.a12, self.a21, self.a22
 
     def unknowns(self):
         """Unknown index pairs (i, j), 1-based, i = 1..n-m, j = 1..m."""
@@ -164,50 +161,59 @@ def flag_generate(a: AutomorphicField) -> FlagSystem:
     return FlagSystem(a.matrix)
 
 
-def _mp_add(p, q):
-    out = dict(p)
-    for mono, c in q.items():
-        s = out.get(mono, RF_ZERO) + c
-        if s.is_zero():
-            out.pop(mono, None)
-        else:
-            out[mono] = s
-    return out
+def riccati_table(sys: RiccatiSystem):
+    """Coefficient tables of the matrix Riccati system, one per unknown.
 
-
-def _mp_neg(p):
-    return {mono: -c for mono, c in p.items()}
-
-
-def _mp_mul(p, q):
-    out: dict = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            mono = tuple(sorted(m1 + m2))
-            s = out.get(mono, RF_ZERO) + c1 * c2
-            if s.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-    return out
-
-
-def _mp_scale(c: RatFunc, p):
-    if c.is_zero():
-        return {}
-    return {mono: c * v for mono, v in p.items()}
+    Returns {(i, j): MPoly}, the monomials being sorted tuples of unknown
+    index pairs (the empty tuple is the constant term): riccati_rhs
+    evaluated at the symbolic chart Lambda = [var (i, j)], 1-based.
+    """
+    rows, cols = sys.n - sys.m, sys.m
+    lam = MatK(rows, cols, [MPoly.var((i, j)) for i in range(1, rows + 1)
+                            for j in range(1, cols + 1)])
+    rhs = riccati_rhs(sys, PlaneCoords(sys.n, sys.m, lam))
+    return {(i, j): rhs[i - 1, j - 1] for (i, j) in sys.unknowns()}
 
 
 def flag_table(sys: FlagSystem):
     """Coefficient tables of the flag system, one per unknown.
 
-    Returns {(i, j): {monomial: coefficient}} where a monomial is a sorted
-    tuple of unknown index pairs (the empty tuple is the constant term).
-    Derived from L' = A L - L V with V the unique upper-triangular
-    completion making the right side strictly lower: writing M = A L,
-    forward substitution gives V_pq = M_pq - sum_{k<p} L_pk V_kq for
-    p <= q, and the table for unknown (i, j) is the (i, j) entry of
-    M - L V.  For n <= 3 this expands to the classical cubic expression
+    Same monomial convention as riccati_table: the flag substitution of
+    flag_rhs evaluated at the symbolic unit-lower L with l_ij = var (i, j).
+    """
+    n = sys.n
+    lam = MatK(n, n, [1 if i == j else 0 if i < j else MPoly.var((i, j))
+                      for i in range(1, n + 1) for j in range(1, n + 1)])
+    rhs = _flag_substitution(sys.A, lam)
+    return {(i, j): rhs[i - 1, j - 1] for (i, j) in sys.unknowns()}
+
+
+def _flag_substitution(a: MatK, lam: MatK) -> MatK:
+    """The strictly-lower matrix A L - L V, V by forward substitution.
+
+    V is the unique upper-triangular completion making A L - L V strictly
+    lower.  With M = A L, both parts of W = M - L V come from one column
+    sweep, W_ij = M_ij - sum_{k < i, k <= j} L_ik W_kj (L_ii = 1): the
+    entries with i <= j are V, those with i > j the result.
+    """
+    n = a.rows
+    m = a * lam
+    w = [[RF_ZERO] * n for _ in range(n)]
+    for j in range(n):
+        for i in range(n):
+            acc = m[i, j]
+            for k in range(min(i, j + 1)):
+                acc = acc - lam[i, k] * w[k][j]
+            w[i][j] = acc
+    return MatK(n, n, [w[i][j] if i > j else RF_ZERO for i in range(n) for j in range(n)])
+
+
+def flag_rhs(sys: FlagSystem, flag: FlagCoords) -> MatK:
+    """Right-hand side L' = A L - L V of the flag system at the coordinates.
+
+    V is the upper-triangular completion found by forward substitution
+    (see _flag_substitution), so the result is strictly lower
+    triangular.  For n <= 3 the (i, j) entry is the classical cubic
 
         sum_{k=j..n} a_ik l_kj
       - sum_{k=1..j} sum_{r=j..n} l_ik a_kr l_rj
@@ -216,112 +222,9 @@ def flag_table(sys: FlagSystem):
     (l_pp = 1, l_pq = 0 for p < q); for larger n the substitution
     contributes higher-degree terms in columns j >= 3.
     """
-    n = sys.n
-    a = sys.A
-
-    # symbolic flag matrix entry (p, q) as a monomial-dict polynomial
-    def lam(p, q):
-        if p < q:
-            return {}
-        if p == q:
-            return {(): RF_ONE}
-        return {((p, q),): RF_ONE}
-
-    # M = A L
-    m = [[{} for _ in range(n + 1)] for _ in range(n + 1)]
-    for p in range(1, n + 1):
-        for q in range(1, n + 1):
-            acc: dict = {}
-            for k in range(q, n + 1):
-                acc = _mp_add(acc, _mp_scale(a[p - 1, k - 1], lam(k, q)))
-            m[p][q] = acc
-
-    # V_pq for p <= q by forward substitution down each column
-    v = [[{} for _ in range(n + 1)] for _ in range(n + 1)]
-    for q in range(1, n + 1):
-        for p in range(1, q + 1):
-            acc = m[p][q]
-            for k in range(1, p):
-                acc = _mp_add(acc, _mp_neg(_mp_mul(lam(p, k), v[k][q])))
-            v[p][q] = acc
-
-    tables = {}
-    for (i, j) in sys.unknowns():
-        acc = m[i][j]
-        for k in range(1, j + 1):
-            acc = _mp_add(acc, _mp_neg(_mp_mul(lam(i, k), v[k][j])))
-        tables[(i, j)] = acc
-    return tables
-
-
-def riccati_table(sys: RiccatiSystem):
-    """Coefficient tables of the matrix Riccati system, one per unknown.
-
-    Same monomial convention as flag_table; unknown (i, j) is the (i, j)
-    entry of Lambda, 1-based.
-    """
-    n, m = sys.n, sys.m
-    tables = {}
-    for (i, j) in sys.unknowns():
-        terms: dict[tuple, RatFunc] = {}
-
-        def add(coeff: RatFunc, mono):
-            if coeff.is_zero():
-                return
-            key = tuple(sorted(mono))
-            terms[key] = terms.get(key, RF_ZERO) + coeff
-
-        add(sys.a21[i - 1, j - 1], [])
-        for k in range(1, n - m + 1):
-            add(sys.a22[i - 1, k - 1], [(k, j)])
-        for k in range(1, m + 1):
-            add(-sys.a11[k - 1, j - 1], [(i, k)])
-        for k in range(1, m + 1):
-            for r in range(1, n - m + 1):
-                add(-sys.a12[k - 1, r - 1], [(i, k), (r, j)])
-        tables[(i, j)] = {mono: c for mono, c in terms.items() if not c.is_zero()}
-    return tables
-
-
-def evaluate_table(table, values) -> dict:
-    """Evaluate one unknown's {monomial: coeff} table at unknown values."""
-    acc = RF_ZERO
-    for mono, coeff in table.items():
-        term = coeff
-        for key in mono:
-            term = term * values[key]
-        acc = acc + term
-    return acc
-
-
-def flag_rhs(sys: FlagSystem, flag: FlagCoords) -> MatK:
-    """Right-hand side of the flag system at the given coordinates.
-
-    Evaluates L' = A L - L V directly (V by forward substitution), which
-    agrees with evaluating the symbolic flag_table but avoids expanding
-    the monomials.  The result is strictly lower triangular.
-    """
     if flag.n != sys.n:
         raise DimensionMismatch("flag does not match system rank")
-    n = sys.n
-    lam = flag.lam
-    m = sys.A * lam
-    # V_pq = M_pq - sum_{k<p} L_pk V_kq for p <= q, column by column
-    v = [[RF_ZERO] * n for _ in range(n)]
-    for q in range(n):
-        for p in range(q + 1):
-            acc = m[p, q]
-            for k in range(p):
-                acc = acc - lam[p, k] * v[k][q]
-            v[p][q] = acc
-    out = [[RF_ZERO] * n for _ in range(n)]
-    for j in range(n):
-        for i in range(j + 1, n):
-            acc = m[i, j]
-            for k in range(j + 1):
-                acc = acc - lam[i, k] * v[k][j]
-            out[i][j] = acc
-    return MatK.from_rows(out)
+    return _flag_substitution(sys.A, flag.lam)
 
 
 def flag_check_solution(sys: FlagSystem, flag: FlagCoords) -> bool:

@@ -3,20 +3,25 @@
 MatK is a dense rectangular matrix of RatFunc entries.  Inversion and
 determinants run Gaussian elimination with exact pivoting: the pivot is
 the first row with a nonzero entry, which is deterministic and safe
-because arithmetic is exact.
+because arithmetic is exact.  Ring operations (+, -, *) also run on
+entries of any commutative ring that mixes with K, such as MPoly, which
+is how the Riccati and flag tables evaluate their right-hand sides at
+symbolic coordinates.
 """
 
 from __future__ import annotations
 
 from .errors import BadBlockSize, DimensionMismatch, PrincipalMinorVanishes, Singular
 from .ratfunc import RF_ONE, RF_ZERO, RatFunc, _as_rf
+from .scalars import GaussianRational
 
 
 class MatK:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries):
-        entries = [_as_rf(e) for e in entries]
+        entries = [RatFunc.const(e) if isinstance(e, (int, GaussianRational)) else e
+                   for e in entries]
         if len(entries) != rows * cols:
             raise DimensionMismatch(f"expected {rows * cols} entries, got {len(entries)}")
         self.rows = rows

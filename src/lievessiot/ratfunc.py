@@ -420,7 +420,8 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a constant hashes as its value, as == with constants requires
+        return hash(self.constant_value()) if self.is_constant() else hash((self.num, self.den))
 
     def __repr__(self):
         from .parsing import format_ratfunc

@@ -124,7 +124,8 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as its Fraction, as == with int and Fraction requires
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"

@@ -6,7 +6,7 @@ from lievessiot.automorphic import (AutomorphicField, GroupElement, adjoint,
                                     check_automorphic_solution,
                                     gauge_transform, is_in_subalgebra,
                                     log_deriv)
-from lievessiot.errors import DimensionMismatch, Singular
+from lievessiot.errors import BadBlockSize, DimensionMismatch, Singular, ToolkitError
 from lievessiot.matrix import MatK
 from lievessiot.parsing import parse_matrix
 
@@ -88,6 +88,16 @@ def test_is_in_subalgebra_shapes():
     block = AutomorphicField(parse_matrix("[1, t, 1; 0, 2, 0; 0, 1, 1]"))
     assert is_in_subalgebra(block, "block_upper", m=1)
     assert not is_in_subalgebra(block, "upper_triangular")
+
+
+def test_is_in_subalgebra_block_upper_needs_m():
+    with pytest.raises(BadBlockSize):
+        is_in_subalgebra(AutomorphicField(MatK.identity(2)), "block_upper")
+
+
+def test_is_in_subalgebra_unknown_shape():
+    with pytest.raises(ToolkitError):
+        is_in_subalgebra(AutomorphicField(MatK.identity(2)), "lower_triangular")
 
 
 def test_size_mismatch_raises():

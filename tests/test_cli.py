@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lievessiot.cli import main
 
@@ -155,18 +157,96 @@ def test_syntax_error_exit1(capsys):
 
 
 @pytest.mark.parametrize("argv, missing", [
-    (["--kind", "riccati", "--A", "[0, 0; 1, 0]", "--L", "[t]"], "--m"),
-    (["--kind", "subalgebra", "--A", "[0, 0; 1, 0]", "--shape", "block_upper"], "--m"),
-    (["--kind", "subalgebra", "--A", "[0, 0; 1, 0]"], "--shape"),
-    (["--kind", "automorphic", "--A", "[0, 1; 0, 0]"], "--sigma"),
-    (["--kind", "flag", "--A", "[0, 0; 1, 0]"], "--L"),
-    (["--kind", "integral", "--a", "2*t"], "--b"),
-    (["--kind", "weierstrass", "--a", "1", "--b", "t"], "--g2, --g3"),
+    (["check", "--kind", "riccati", "--A", "[0, 0; 1, 0]", "--L", "[t]"], "--m"),
+    (["check", "--kind", "subalgebra", "--A", "[0, 0; 1, 0]", "--shape", "block_upper"], "--m"),
+    (["check", "--kind", "subalgebra", "--A", "[0, 0; 1, 0]"], "--shape"),
+    (["check", "--kind", "automorphic", "--A", "[0, 1; 0, 0]"], "--sigma"),
+    (["check", "--kind", "flag", "--A", "[0, 0; 1, 0]"], "--L"),
+    (["check", "--kind", "integral", "--a", "2*t"], "--b"),
+    (["check", "--kind", "weierstrass", "--a", "1", "--b", "t"], "--g2, --g3"),
+    (["elliptic", "add", "--g2", "4", "--g3", "-4", "--P", "1,2"], "--Q"),
+    (["elliptic", "solve", "--g2", "4", "--g3", "-4", "--a", "1", "--b", "t"], "--point"),
+    (["elliptic", "check", "--g2", "4", "--g3", "-4", "--a", "1"], "--b"),
 ])
 def test_check_missing_argument_exit1(capsys, argv, missing):
-    code, out, err = run_cli(capsys, "check", *argv)
+    code, out, err = run_cli(capsys, *argv)
+    command = " ".join(argv[:3] if argv[0] == "check" else argv[:2])
     assert code == 1 and out == ""
-    assert err == f"error[ToolkitError]: check {argv[0]} {argv[1]} requires {missing}\n"
+    assert err == f"error[ToolkitError]: {command} requires {missing}\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["elliptic", "add", "--g2", "4", "--g3", "-4", "--P", "1", "--Q", "1,2"], "ToolkitError"),
+    (["riccati", "--A", "[0, 1; t, 0]", "--m", "1", "--permute", "a,b"], "ToolkitError"),
+    (["riccati", "--A", "@/missing", "--m", "1"], "ToolkitError"),
+    (["riccati", "--input", "/missing", "--m", "1"], "ToolkitError"),
+    (["so3", "--a", "1", "--b", "t", "--c", "0", "--check-point", "1,0"], "ToolkitError"),
+    (["so3", "--a", "1", "--b", "t", "--c", "0", "--check-point", "1,1,1"], "NotOnSphere"),
+])
+def test_malformed_input_exit1(capsys, argv, code):
+    exit_code, out, err = run_cli(capsys, *argv)
+    assert exit_code == 1 and out == ""
+    assert err.startswith(f"error[{code}]: ") and err.count("\n") == 1
+
+
+# Required and optional options of each subcommand, and values to give
+# them: valid inputs and near misses; free text has no '^', so every
+# exponent stays small.
+_FUZZ_OPTIONS = {
+    "riccati": (("--A", "--m"), ("--permute",)),
+    "flag": (("--A",), ("--permute",)),
+    "reduce-plane": (("--A", "--L", "--m"), ("--permute",)),
+    "reduce-flag": (("--A", "--L"), ("--permute",)),
+    "check": (("--kind",), ("--a", "--b", "--A", "--sigma", "--L", "--m", "--g2", "--g3",
+                            "--shape")),
+    "so3": (("--a", "--b", "--c"), ("--check-point", "--at")),
+    "elliptic": (("--g2", "--g3"), ("--P", "--Q", "--a", "--b", "--point")),
+    "pendulum": (("--h",), ()),
+}
+_MATRICES = ["[t]", "[0]", "[1, 0; t, 1]", "[0, 0; 1, 0]", "[0, 1; t, 0]", "[t, 1; 0, -t]",
+             "[1, t; 0, 1]", "[0, 1, 0; 0, 0, 1; t, 0, 0]", "[1, 0, 0; t, 1, 0; 0, t, 1]",
+             "@/missing"]
+_EXPRESSIONS = ["0", "1", "2", "-4", "i", "t", "2*t", "t^2", "1/0", "3/(t - 1)", "(t - 1)^3"]
+_POINTS = ["1,2", "1,-2", "-1,2", "inf", "1", "1,0", "2/3,2/3,1/3", "1,1,1", "3/5,4/5,0"]
+_FUZZ_VALUES = {
+    "--A": _MATRICES, "--L": _MATRICES, "--sigma": _MATRICES,
+    "--m": ["0", "1", "2", "3", "-1"],
+    "--permute": ["1,2", "2,1", "1,1", "a,b", "1,2,3", "3,1,2"],
+    "--kind": ["integral", "exponential", "automorphic", "riccati", "flag", "weierstrass",
+               "subalgebra"],
+    "--shape": ["skew_symmetric", "upper_triangular", "block_upper", "trace_zero"],
+    "--P": _POINTS, "--Q": _POINTS, "--point": _POINTS, "--check-point": _POINTS,
+}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_OPTIONS)))
+    required, optional = _FUZZ_OPTIONS[command]
+    argv = [command]
+    if command == "elliptic":
+        argv.append(draw(st.sampled_from(["curve", "add", "check", "solve"])))
+    options = list(required) + draw(st.lists(st.sampled_from(optional), unique=True)
+                                    if optional else st.just([]))
+    values = [draw(st.sampled_from(_FUZZ_VALUES.get(option, _EXPRESSIONS))) for option in options]
+    if draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = draw(
+            st.text("t12i+-*/(),;[] ", max_size=12))
+    for option, value in zip(options, values):
+        argv += [option, value]
+    if draw(st.booleans()):
+        argv += ["--format", "record"]
+    return argv
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_fuzz_argv())
+def test_cli_argv_fuzz(argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    assert code in (0, 1, 2)
 
 
 def test_input_file(tmp_path, capsys):

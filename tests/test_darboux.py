@@ -10,7 +10,8 @@ from lievessiot.darboux import (SO3Field, SpherePoint, rotation_matrix,
                                 so3_to_riccati, sphere_from_symmetric,
                                 symmetric_coords)
 from lievessiot.errors import (ChartDenominatorVanishes, DiagonalPoint,
-                               DimensionMismatch, PoleAtPoint)
+                               DimensionMismatch, DivisionByZero, NotOnSphere,
+                               PoleAtPoint, ToolkitError)
 from lievessiot.matrix import MatK
 from lievessiot.parsing import parse_ratfunc
 from lievessiot.ratfunc import RatFunc
@@ -23,6 +24,11 @@ def test_sphere_point_validation():
     SpherePoint(Fraction(3, 5), Fraction(4, 5), 0)
     with pytest.raises(ValueError):
         SpherePoint(1, 1, 0)
+
+
+def test_sphere_point_off_sphere_is_toolkit_error():
+    with pytest.raises(NotOnSphere):
+        SpherePoint(1, 1, 1)
 
 
 def test_so3_matrix_is_skew():
@@ -96,6 +102,23 @@ def test_rotation_moebius_conjugation():
         for lam in (gq(2), gq(3), gq("1/2")):
             m = rotation_to_moebius(axis, lam)
             assert dbx.moebius_matches_rotation(axis, lam, m)
+
+
+@pytest.mark.parametrize("rotation", [rotation_matrix, rotation_to_moebius])
+def test_rotation_zero_parameter(rotation):
+    with pytest.raises(DivisionByZero):
+        rotation(0, 0)
+
+
+@pytest.mark.parametrize("rotation", [rotation_matrix, rotation_to_moebius])
+def test_rotation_bad_axis(rotation):
+    with pytest.raises(ToolkitError):
+        rotation(3, 2)
+
+
+def test_displayed_moebius_axes_0_1_are_derived():
+    for axis in (0, 1):
+        assert dbx.displayed_moebius(axis, gq(3)) == rotation_to_moebius(axis, gq(3))
 
 
 def test_displayed_moebius_report():

@@ -8,7 +8,7 @@ from lievessiot.automorphic import (AutomorphicField, GroupElement,
 from lievessiot.errors import (BadBlockSize, ChartMinorVanishes,
                                DimensionMismatch)
 from lievessiot.homspace import (FlagCoords, NotASolutionWarning, PlaneCoords,
-                                 evaluate_table, flag_check_solution,
+                                 flag_check_solution,
                                  flag_coords, flag_generate, flag_rhs,
                                  flag_table, flag_to_grassmann,
                                  plucker_coords, reduce_by_flag,
@@ -19,6 +19,17 @@ from lievessiot.parsing import parse_matrix
 from lievessiot.ratfunc import RF_ONE, RF_T, RF_ZERO, RatFunc
 
 from support import rand_fundamental, rand_poly, rand_ratfunc
+
+
+def evaluate_table(table, values):
+    """Evaluate one unknown's {monomial: coeff} table at unknown values."""
+    acc = RF_ZERO
+    for mono, coeff in table.items():
+        term = coeff
+        for key in mono:
+            term = term * values[key]
+        acc = acc + term
+    return acc
 
 
 def _first_cols(m, k):
@@ -161,6 +172,25 @@ def test_reduce_by_flag_nonsolution_warns():
     with pytest.warns(NotASolutionWarning):
         result = reduce_by_flag(a, flag)
     assert not result.is_solution
+
+
+def test_flag_table_solved_by_unit_lower_fundamental_matrix():
+    # for unit-lower tau, flag_coords(tau) = tau, so L = tau solves the
+    # flag system of A = l(tau): the tables evaluated at L give L'
+    rng = random.Random(50)
+    for n in (2, 3, 4, 5):
+        tau = _unit_lower(n, lambda: RatFunc(rand_poly(rng, 1)))
+        sys_ = flag_generate(AutomorphicField(log_deriv(GroupElement(tau)).matrix))
+        tables = flag_table(sys_)
+        assert set(tables) == set(sys_.unknowns())
+        lam = flag_coords(GroupElement(tau)).lam
+        assert lam == tau
+        for flag, solves in ((lam, True), (_bumped(lam, n - 1, 0), False)):
+            values = {(i, j): flag[i - 1, j - 1] for (i, j) in sys_.unknowns()}
+            deriv = flag.derive()
+            agree = [evaluate_table(tables[(i, j)], values) == deriv[i - 1, j - 1]
+                     for (i, j) in sys_.unknowns()]
+            assert all(agree) is solves
 
 
 def test_riccati_n2_scalar_equation():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -54,6 +55,14 @@ def test_canonical_form_structural_equality():
     assert b.den == Poly([1])
     assert b.num == Poly([0, 1])
     assert hash(a) == hash(RatFunc(Poly([1, 1])))
+
+
+def test_constant_hash_consistent_with_eq():
+    for value in (0, 1, -7, GaussianRational(2, 3)):
+        assert RatFunc.const(value) == value
+        assert hash(RatFunc.const(value)) == hash(value)
+    assert RatFunc(Poly([2]), Poly([4])) == GaussianRational(Fraction(1, 2))
+    assert hash(RatFunc(Poly([2]), Poly([4]))) == hash(Fraction(1, 2))
 
 
 def test_zero_denominator_rejected():

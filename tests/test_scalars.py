@@ -59,6 +59,12 @@ def test_truthiness_and_hash():
     assert hash(GaussianRational(2, 3)) == hash(GaussianRational(2, 3))
 
 
+def test_hash_consistent_with_eq():
+    for value in (0, 1, -7, Fraction(2, 3)):
+        assert GaussianRational(value) == value
+        assert hash(GaussianRational(value)) == hash(value)
+
+
 def test_int_mixing():
     assert GaussianRational(2) + 1 == GaussianRational(3)
     assert 2 * GaussianRational(0, 1) == GaussianRational(0, 2)
