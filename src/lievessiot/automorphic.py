@@ -11,12 +11,22 @@ holds exactly; with tau = sigma^{-1} it forces the inverse law
 l(sigma^{-1}) = -Adj_{sigma^{-1}}(l(sigma)).  (Classical displays
 sometimes print Adj_sigma in the inverse law; the cocycle-forced form is
 the one implemented and tested.)
+
+GL(n, K) is used as a group.  A GroupElement checks det != 0 once, when
+built from a matrix, and keeps that determinant; products and inverses
+take theirs from the group law (det(sigma tau) = det sigma det tau,
+det(sigma^{-1}) = 1/det sigma) with no further check, and each element
+computes its inverse at most once.  log_deriv, adjoint and
+gauge_transform evaluate their products on polynomial numerator
+matrices over one denominator and reduce each entry of the result once;
+for a polynomial sigma, l(sigma) = sigma' adj(sigma) / det(sigma).
 """
 
 from __future__ import annotations
 
 from .errors import BadBlockSize, DimensionMismatch, Singular, ToolkitError
-from .matrix import MatK
+from .matrix import MatK, _OneDen
+from .ratfunc import RF_ONE
 
 
 class AutomorphicField:
@@ -45,23 +55,40 @@ class AutomorphicField:
 class GroupElement:
     """An element of GL(n, K): a square matrix with det != 0 in K."""
 
-    __slots__ = ("n", "sigma")
+    __slots__ = ("n", "sigma", "_det", "_inverse")
 
     def __init__(self, sigma: MatK):
         if not sigma.is_square:
             raise DimensionMismatch("group element must be square")
-        if sigma.det().is_zero():
+        det = sigma.det()
+        if det.is_zero():
             raise Singular("group element must be invertible over K")
         self.n = sigma.rows
         self.sigma = sigma
+        self._det = det
+        self._inverse = None
+
+    @staticmethod
+    def _known(sigma: MatK, det) -> "GroupElement":
+        """The element sigma, whose nonzero determinant det the caller knows."""
+        g = object.__new__(GroupElement)
+        g.n = sigma.rows
+        g.sigma = sigma
+        g._det = det
+        g._inverse = None
+        return g
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(self.sigma.inverse())
+        if self._inverse is None:
+            inv = GroupElement._known(self.sigma.inverse(), RF_ONE / self._det)
+            inv._inverse = self
+            self._inverse = inv
+        return self._inverse
 
     def __mul__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return GroupElement(self.sigma * other.sigma)
+        return GroupElement._known(self.sigma * other.sigma, self._det * other._det)
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
@@ -77,22 +104,25 @@ class GroupElement:
 
 def log_deriv(sigma: GroupElement) -> AutomorphicField:
     """l(sigma) = sigma' * sigma^{-1}; vanishes on constant matrices."""
-    return AutomorphicField(sigma.sigma.derive() * sigma.sigma.inverse())
+    inv = _OneDen.of(sigma.inverse().sigma)
+    return AutomorphicField((_OneDen.of(sigma.sigma).derive() * inv).to_matk())
 
 
 def adjoint(tau: GroupElement, a: AutomorphicField) -> AutomorphicField:
     """Adj_tau(A) = tau * A * tau^{-1}."""
     if tau.n != a.n:
         raise DimensionMismatch("adjoint size mismatch")
-    return AutomorphicField(tau.sigma * a.matrix * tau.sigma.inverse())
+    inv = _OneDen.of(tau.inverse().sigma)
+    return AutomorphicField((_OneDen.of(tau.sigma) * _OneDen.of(a.matrix) * inv).to_matk())
 
 
 def gauge_transform(tau: GroupElement, a: AutomorphicField) -> AutomorphicField:
     """The gauge action of left translation: A -> tau A tau^{-1} + tau' tau^{-1}."""
     if tau.n != a.n:
         raise DimensionMismatch("gauge size mismatch")
-    inv = tau.sigma.inverse()
-    return AutomorphicField(tau.sigma * a.matrix * inv + tau.sigma.derive() * inv)
+    t = _OneDen.of(tau.sigma)
+    inv = _OneDen.of(tau.inverse().sigma)
+    return AutomorphicField(((t * _OneDen.of(a.matrix) + t.derive()) * inv).to_matk())
 
 
 def check_automorphic_solution(a: AutomorphicField, sigma: GroupElement) -> bool:

@@ -90,3 +90,9 @@ class RaggedRows(ToolkitError):
 
 class DivisionByZeroFunction(ToolkitError):
     code = "DivisionByZeroFunction"
+
+
+class LimitExceeded(ToolkitError):
+    """Input beyond a documented size bound (see parsing.py)."""
+
+    code = "LimitExceeded"

@@ -257,6 +257,8 @@ class ReductionResult:
 def reduce_by_plane(a: AutomorphicField, plane: PlaneCoords) -> ReductionResult:
     """Gauge A by tau = [[I, 0], [-Lambda, I]], the inverse of [[I, 0], [Lambda, I]].
 
+    tau is unipotent, so its determinant is 1 and is not computed.
+
     The gauged field tau A tau^{-1} + tau' tau^{-1} is, in closed form,
     B = [[A11 + A12 Lambda, A12], [riccati_rhs - Lambda', A22 - Lambda A12]],
     so Lambda solves the matrix Riccati system iff the (2,1) block of B
@@ -269,8 +271,8 @@ def reduce_by_plane(a: AutomorphicField, plane: PlaneCoords) -> ReductionResult:
         raise DimensionMismatch("field and plane rank mismatch")
     sys_ = riccati_generate(a, m)
     lam = plane.Lambda
-    tau = GroupElement(MatK.block_join(MatK.identity(m), MatK.zero(m, n - m),
-                                       -lam, MatK.identity(n - m)))
+    tau = GroupElement._known(MatK.block_join(MatK.identity(m), MatK.zero(m, n - m),
+                                              -lam, MatK.identity(n - m)), RF_ONE)
     b21 = riccati_rhs(sys_, plane) - lam.derive()
     b = MatK.block_join(sys_.a11 + sys_.a12 * lam, sys_.a12, b21, sys_.a22 - lam * sys_.a12)
     ok = b21.is_zero()
@@ -280,8 +282,25 @@ def reduce_by_plane(a: AutomorphicField, plane: PlaneCoords) -> ReductionResult:
     return ReductionResult(tau, AutomorphicField(b), ok)
 
 
+def _unit_lower_inverse(lam: MatK) -> MatK:
+    """L^{-1} of a unit-lower L by forward substitution, with no division:
+    X_ij = -sum_{j <= k < i} L_ik X_kj below the unit diagonal."""
+    n = lam.rows
+    x = [[RF_ONE if i == j else RF_ZERO for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            acc = RF_ZERO
+            for k in range(j, i):
+                if not lam[i, k].is_zero():
+                    acc = acc - lam[i, k] * x[k][j]
+            x[i][j] = acc
+    return MatK.from_rows(x)
+
+
 def reduce_by_flag(a: AutomorphicField, flag: FlagCoords) -> ReductionResult:
     """Gauge A by tau = L^{-1}, the inverse of the flag coordinate matrix.
+
+    tau comes from forward substitution and has determinant 1.
 
     The gauged field is B = L^{-1}(A L - L').  It is upper triangular
     (Borel form) iff L' = A L - L V for some upper-triangular V, which
@@ -292,7 +311,7 @@ def reduce_by_flag(a: AutomorphicField, flag: FlagCoords) -> ReductionResult:
     if a.n != flag.n:
         raise DimensionMismatch("field and flag rank mismatch")
     lam = flag.lam
-    tau = GroupElement(lam.inverse())
+    tau = GroupElement._known(_unit_lower_inverse(lam), RF_ONE)
     b = tau.sigma * (a.matrix * lam - lam.derive())
     ok = all(b[i, j].is_zero() for i in range(b.rows) for j in range(i))
     if not ok:

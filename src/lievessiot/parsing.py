@@ -13,18 +13,29 @@ unary minus, so -t^2 means -(t^2).  Matrices are written row-major as
 [a, b; c, d].  The printer emits canonical text that reparses to the
 same value (round-trip law), with the monic-denominator normalization
 visible in the output.
+
+Two bounds are checked while parsing, before anything is evaluated, so
+that deep nesting cannot exhaust the stack and one large exponent cannot
+run for minutes: at most 64 parentheses and unary minus signs may be
+open at once, and a '^' exponent may be at most 100 ((t + 1)^100 takes
+about a tenth of a second).  Input beyond either bound raises
+LimitExceeded.  Chains of '+ -' or '* /' are evaluated in a loop, so
+their length is not bounded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DivisionByZero, DivisionByZeroFunction, ExprSyntaxError, RaggedRows
+from .errors import (DivisionByZero, DivisionByZeroFunction, ExprSyntaxError, LimitExceeded,
+                     RaggedRows)
 from .matrix import MatK
 from .ratfunc import Poly, RatFunc
 from .scalars import GaussianRational
 
 _SYMBOLS = "+-*/^()[],;"
+_MAX_NESTING = 64  # parentheses and unary minus signs open at once
+_MAX_EXPONENT = 100
 
 
 def tokenize(src: str):
@@ -63,6 +74,7 @@ class _Parser:
         self.src = src
         self.tokens = tokenize(src)
         self.idx = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.idx]
@@ -71,6 +83,16 @@ class _Parser:
         tok = self.tokens[self.idx]
         self.idx += 1
         return tok
+
+    def nested(self, parse, pos):
+        """parse() one nesting level deeper; LimitExceeded past _MAX_NESTING."""
+        if self.depth == _MAX_NESTING:
+            raise LimitExceeded(f"expression nested deeper than {_MAX_NESTING} levels "
+                                f"(at position {pos})")
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def expect_sym(self, sym: str):
         kind, value, pos = self.next()
@@ -100,10 +122,10 @@ class _Parser:
                 return node
 
     def unary(self):
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
         if kind == "sym" and value == "-":
             self.next()
-            return ("neg", self.unary())
+            return ("neg", self.nested(self.unary, pos))
         return self.power()
 
     def power(self):
@@ -114,6 +136,9 @@ class _Parser:
             ekind, evalue, epos = self.next()
             if ekind != "int":
                 raise ExprSyntaxError("exponent must be a nonnegative integer literal", epos)
+            if evalue > _MAX_EXPONENT:
+                raise LimitExceeded(f"exponent {evalue} exceeds {_MAX_EXPONENT} "
+                                    f"(at position {epos})")
             node = ("pow", node, evalue)
         return node
 
@@ -124,7 +149,7 @@ class _Parser:
         if kind == "ident":
             return (value,)
         if kind == "sym" and value == "(":
-            node = self.expr()
+            node = self.nested(self.expr, pos)
             self.expect_sym(")")
             return node
         raise ExprSyntaxError("expected a number, i, t or parenthesized expression", pos)
@@ -169,20 +194,29 @@ def eval_expr(node) -> RatFunc:
     if tag == "pow":
         return eval_expr(node[1]) ** node[2]
     if tag == "bin":
-        _, op, left, right = node
-        lhs = eval_expr(left)
-        rhs = eval_expr(right)
-        if op == "+":
-            return lhs + rhs
-        if op == "-":
-            return lhs - rhs
-        if op == "*":
-            return lhs * rhs
-        try:
-            return lhs / rhs
-        except DivisionByZero:
-            raise DivisionByZeroFunction("denominator simplifies to the zero function") from None
+        # a chain a op b op c ... is left-nested; walk its spine in a loop
+        chain = []
+        while node[0] == "bin":
+            chain.append((node[1], node[3]))
+            node = node[2]
+        acc = eval_expr(node)
+        for op, right in reversed(chain):
+            acc = _apply(op, acc, eval_expr(right))
+        return acc
     raise ValueError(f"bad expression node {node!r}")
+
+
+def _apply(op, lhs: RatFunc, rhs: RatFunc) -> RatFunc:
+    if op == "+":
+        return lhs + rhs
+    if op == "-":
+        return lhs - rhs
+    if op == "*":
+        return lhs * rhs
+    try:
+        return lhs / rhs
+    except DivisionByZero:
+        raise DivisionByZeroFunction("denominator simplifies to the zero function") from None
 
 
 def parse_expr(src: str):

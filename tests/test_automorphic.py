@@ -34,9 +34,13 @@ def test_cocycle_law_random():
         n = rng.choice((2, 3))
         sigma = GroupElement(rand_invertible(rng, n, 1))
         tau = GroupElement(rand_invertible(rng, n, 1))
-        lhs = log_deriv(sigma * tau).matrix
+        product = sigma * tau
+        # the group law gives det(sigma tau) = det sigma det tau, unchecked
+        assert product._det == product.sigma.det()
+        lhs = log_deriv(product).matrix
         rhs = log_deriv(sigma).matrix + adjoint(sigma, log_deriv(tau)).matrix
         assert lhs == rhs
+        assert lhs == product.sigma.derive() * product.sigma.inverse()
 
 
 def test_inverse_law_random():
@@ -45,7 +49,11 @@ def test_inverse_law_random():
         n = rng.choice((2, 3))
         sigma = GroupElement(rand_invertible(rng, n, 2))
         inv = sigma.inverse()
+        assert inv is sigma.inverse() and inv.inverse() is sigma
+        assert inv._det == inv.sigma.det()
+        assert inv.sigma == sigma.sigma.inverse()
         assert log_deriv(inv).matrix == -adjoint(inv, log_deriv(sigma)).matrix
+        assert log_deriv(inv).matrix == inv.sigma.derive() * sigma.sigma
 
 
 def test_gauge_transform_is_group_action():
@@ -58,6 +66,11 @@ def test_gauge_transform_is_group_action():
         once = gauge_transform(tau1, gauge_transform(tau2, a))
         composed = gauge_transform(tau1 * tau2, a)
         assert once == composed
+        # against plain MatK products, for a polynomial and a rational tau
+        for tau in (tau1, tau1.inverse()):
+            t, inv = tau.sigma, tau.sigma.inverse()
+            assert gauge_transform(tau, a).matrix == t * a.matrix * inv + t.derive() * inv
+            assert adjoint(tau, a).matrix == t * a.matrix * inv
 
 
 def test_gauge_by_solution_trivializes():

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -182,9 +184,23 @@ def test_check_missing_argument_exit1(capsys, argv, missing):
     (["riccati", "--input", "/missing", "--m", "1"], "ToolkitError"),
     (["so3", "--a", "1", "--b", "t", "--c", "0", "--check-point", "1,0"], "ToolkitError"),
     (["so3", "--a", "1", "--b", "t", "--c", "0", "--check-point", "1,1,1"], "NotOnSphere"),
+    (["riccati", "--A", "@{deep}", "--m", "1"], "LimitExceeded"),
+    (["check", "--kind", "integral", "--a", "t^99999999", "--b", "t"], "LimitExceeded"),
 ])
-def test_malformed_input_exit1(capsys, argv, code):
-    exit_code, out, err = run_cli(capsys, *argv)
+def test_malformed_input_exit1(capsys, tmp_path, argv, code):
+    deep = tmp_path / "deep.txt"
+    deep.write_text("[" + "(" * 3000 + "t" + ")" * 3000 + "]")
+    argv = [arg.replace("{deep}", str(deep)) for arg in argv]
+    if any("^" in arg for arg in argv):
+        # an unbounded exponent hangs: run it where a timeout can stop it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-m", "lievessiot.cli", *argv],
+                              capture_output=True, text=True, timeout=30, env=env)
+        exit_code, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        exit_code, out, err = run_cli(capsys, *argv)
     assert exit_code == 1 and out == ""
     assert err.startswith(f"error[{code}]: ") and err.count("\n") == 1
 

@@ -1,12 +1,17 @@
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from lievessiot.errors import (BadBlockSize, DimensionMismatch,
                                PrincipalMinorVanishes, Singular)
 from lievessiot.matrix import MatK
 from lievessiot.parsing import parse_matrix
-from lievessiot.ratfunc import RF_ONE, RF_T, RF_ZERO, RatFunc
+from lievessiot.ratfunc import RF_ONE, RF_T, RF_ZERO, Poly, RatFunc
+from lievessiot.scalars import GaussianRational
 
 from support import rand_invertible, rand_poly_matrix
 
@@ -139,3 +144,65 @@ def test_principal_minors():
 def test_scalar_multiplication():
     m = parse_matrix("[1, t; 0, 1]")
     assert RatFunc.const(2) * m == m + m
+
+
+# -- det and inverse against sympy over Q(i)(t) -------------------------------
+
+_K = sympy.QQ_I.frac_field(sympy.Symbol("t"))
+_coeff = st.builds(GaussianRational, st.fractions(-3, 3, max_denominator=2), st.integers(-2, 2))
+_poly = st.lists(_coeff, max_size=3).map(Poly)
+# denominators 1, t, t - 1 and t + i: a short list keeps the common
+# denominator of a 4 x 4 matrix small
+_den = st.sampled_from([Poly([1]), Poly([0, 1]), Poly([-1, 1]), Poly([GaussianRational(0, 1), 1])])
+
+
+@st.composite
+def _square(draw):
+    """A 1x1 to 4x4 matrix over Q(i)(t), polynomial or rational.  One in
+    three is singular, its last row a combination of the others; the rest
+    are invertible, t^3 at the places of a permutation outgrowing every
+    other numerator (so pivots can be zero and rows must be swapped)."""
+    n = draw(st.integers(1, 4))
+    rational = draw(st.booleans())
+    singular = draw(st.integers(0, 2)) == 0
+    perm = draw(st.permutations(range(n)))
+    rows = [[RatFunc(draw(_poly), draw(_den) if rational else Poly([1]))
+             + (RF_T ** 3 if j == perm[i] and not singular else RF_ZERO)
+             for j in range(n)] for i in range(n)]
+    if singular:
+        c = [RatFunc(draw(_poly)) for _ in range(n - 1)]
+        rows[-1] = [sum((ci * rows[i][j] for i, ci in enumerate(c)), RF_ZERO) for j in range(n)]
+    return MatK.from_rows(rows)
+
+
+def _to_k(x: RatFunc):
+    def poly(p):
+        return _K.field.ring.from_dict({
+            (k,): sympy.QQ_I(sympy.QQ(c.re.numerator, c.re.denominator),
+                             sympy.QQ(c.im.numerator, c.im.denominator))
+            for k, c in enumerate(p.coeffs)})
+    return _K.field.new(poly(x.num), poly(x.den))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_square())
+def test_det_and_inverse_match_sympy(m):
+    n = m.rows
+    ref = DomainMatrix([[_to_k(m[i, j]) for j in range(n)] for i in range(n)], (n, n), _K)
+    # sympy's determinant and adjugate of the numerators N = d * m over Q(i)[t]
+    d, numerators = ref.clear_denoms(convert=True)
+    det_n = numerators.det()
+
+    def k(x):
+        return _K.convert_from(x, numerators.domain)
+
+    # field elements compare by representation, so compare differences with 0
+    assert not _to_k(m.det()) - k(det_n) / k(d.element) ** n
+    if not det_n:
+        with pytest.raises(Singular):
+            m.inverse()
+        return
+    inv = m.inverse()
+    scale = k(d.element) / k(det_n)
+    adj = numerators.adjugate().to_list()
+    assert all(not _to_k(inv[i, j]) - scale * k(adj[i][j]) for i in range(n) for j in range(n))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from lievessiot.errors import (DivisionByZeroFunction, ExprSyntaxError,
-                               RaggedRows)
+                               LimitExceeded, RaggedRows)
 from lievessiot.parsing import (format_canonical, format_gaussian,
                                 format_matrix, format_poly, format_ratfunc,
                                 parse_gaussian, parse_matrix, parse_ratfunc)
@@ -44,6 +44,25 @@ def test_syntax_errors_carry_position():
         parse_ratfunc("(t + 1")
     with pytest.raises(ExprSyntaxError):
         parse_ratfunc("t 1")
+
+
+def test_nesting_and_exponent_bounds():
+    # 64 open parentheses or minus signs and the exponent 100 are allowed
+    assert parse_ratfunc("(" * 64 + "t" + ")" * 64) == RF_T
+    assert parse_ratfunc("-(" * 32 + "t" + ")" * 32) == RF_T
+    assert parse_ratfunc("(t + 1)^100") == (RF_T + RF_ONE) ** 100
+    for src in ("(" * 65 + "t" + ")" * 65, "-" * 65 + "t", "-(" * 33 + "t" + ")" * 33,
+                "t^101", "[1, (t + 1)^101]"):
+        with pytest.raises(LimitExceeded):
+            (parse_matrix if src.startswith("[") else parse_ratfunc)(src)
+
+
+def test_long_chains_are_not_nested():
+    assert parse_ratfunc(" + ".join(["t"] * 3000)) == RatFunc.const(3000) * RF_T
+    assert parse_ratfunc(" * ".join(["t"] * 50)) == RF_T ** 50
+    # the bound is on open parentheses, not on how many the input holds
+    assert parse_ratfunc(" + ".join(["(-(t))"] * 100)) == RatFunc.const(-100) * RF_T
+    assert parse_ratfunc("1 - 2 - 3 + 4 / 2 / 2") == RatFunc.const(-3)
 
 
 def test_division_by_zero_function():
