@@ -15,12 +15,14 @@ same value (round-trip law), with the monic-denominator normalization
 visible in the output.
 
 Two bounds are checked while parsing, before anything is evaluated, so
-that deep nesting cannot exhaust the stack and one large exponent cannot
+that deep nesting cannot exhaust the stack and stacked exponents cannot
 run for minutes: at most 64 parentheses and unary minus signs may be
-open at once, and a '^' exponent may be at most 100 ((t + 1)^100 takes
-about a tenth of a second).  Input beyond either bound raises
-LimitExceeded.  Chains of '+ -' or '* /' are evaluated in a loop, so
-their length is not bounded.
+open at once, and the '^' exponents on a chain of nested powers may
+multiply to at most 100, so ((t + 1)^10)^10 is allowed and
+((t + 1)^100)^2 is not ((t + 1)^100 takes about a tenth of a second).
+Input beyond either bound raises LimitExceeded.  Chains of '+ -' or
+'* /' are evaluated in a loop, so their length is not bounded; a sum or
+product of powers therefore still grows with the input length.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .scalars import GaussianRational
 
 _SYMBOLS = "+-*/^()[],;"
 _MAX_NESTING = 64  # parentheses and unary minus signs open at once
-_MAX_EXPONENT = 100
+_MAX_EXPONENT = 100  # product of the exponents on a chain of nested powers
 
 
 def tokenize(src: str):
@@ -75,6 +77,10 @@ class _Parser:
         self.tokens = tokenize(src)
         self.idx = 0
         self.depth = 0
+        # largest product of nested '^' exponents in the group being parsed,
+        # and in the atom just parsed
+        self.scale = 1
+        self.atom_scale = 1
 
     def peek(self):
         return self.tokens[self.idx]
@@ -136,21 +142,27 @@ class _Parser:
             ekind, evalue, epos = self.next()
             if ekind != "int":
                 raise ExprSyntaxError("exponent must be a nonnegative integer literal", epos)
-            if evalue > _MAX_EXPONENT:
-                raise LimitExceeded(f"exponent {evalue} exceeds {_MAX_EXPONENT} "
+            scale = self.atom_scale * evalue
+            if scale > _MAX_EXPONENT:
+                raise LimitExceeded(f"exponents multiply to {scale}, more than {_MAX_EXPONENT} "
                                     f"(at position {epos})")
+            self.scale = max(self.scale, scale)
             node = ("pow", node, evalue)
         return node
 
     def atom(self):
         kind, value, pos = self.next()
+        self.atom_scale = 1
         if kind == "int":
             return ("int", value)
         if kind == "ident":
             return (value,)
         if kind == "sym" and value == "(":
+            outer, self.scale = self.scale, 1
             node = self.nested(self.expr, pos)
             self.expect_sym(")")
+            self.atom_scale = self.scale
+            self.scale = max(outer, self.scale)
             return node
         raise ExprSyntaxError("expected a number, i, t or parenthesized expression", pos)
 

@@ -186,6 +186,9 @@ def test_check_missing_argument_exit1(capsys, argv, missing):
     (["so3", "--a", "1", "--b", "t", "--c", "0", "--check-point", "1,1,1"], "NotOnSphere"),
     (["riccati", "--A", "@{deep}", "--m", "1"], "LimitExceeded"),
     (["check", "--kind", "integral", "--a", "t^99999999", "--b", "t"], "LimitExceeded"),
+    (["check", "--kind", "integral", "--a", "(((t^100)^100)^100)^100", "--b", "t"],
+     "LimitExceeded"),
+    (["check", "--kind", "integral", "--a", "((t+1)^100)^100", "--b", "t"], "LimitExceeded"),
 ])
 def test_malformed_input_exit1(capsys, tmp_path, argv, code):
     deep = tmp_path / "deep.txt"

@@ -47,12 +47,18 @@ def test_syntax_errors_carry_position():
 
 
 def test_nesting_and_exponent_bounds():
-    # 64 open parentheses or minus signs and the exponent 100 are allowed
+    # 64 open parentheses or minus signs, and nested exponents whose
+    # product is 100, are allowed
     assert parse_ratfunc("(" * 64 + "t" + ")" * 64) == RF_T
     assert parse_ratfunc("-(" * 32 + "t" + ")" * 32) == RF_T
     assert parse_ratfunc("(t + 1)^100") == (RF_T + RF_ONE) ** 100
+    assert parse_ratfunc("(((t + 1)^5 - t)^2 * t^3)^10") == \
+        (((RF_T + RF_ONE) ** 5 - RF_T) ** 2 * RF_T ** 3) ** 10
+    assert parse_ratfunc("(t^100) * (t^100)") == RF_T ** 200
     for src in ("(" * 65 + "t" + ")" * 65, "-" * 65 + "t", "-(" * 33 + "t" + ")" * 33,
-                "t^101", "[1, (t + 1)^101]"):
+                "t^101", "[1, (t + 1)^101]", "(t^100)^2", "((t + 1)^100)^100",
+                "(((t^100)^100)^100)^100", "((2^10)^10)^2", "((t^10 + 1) * t)^11",
+                "(-t^51)^2", "[t, ((t)^10)^11]"):
         with pytest.raises(LimitExceeded):
             (parse_matrix if src.startswith("[") else parse_ratfunc)(src)
 
