@@ -12,21 +12,24 @@ l(sigma^{-1}) = -Adj_{sigma^{-1}}(l(sigma)).  (Classical displays
 sometimes print Adj_sigma in the inverse law; the cocycle-forced form is
 the one implemented and tested.)
 
-GL(n, K) is used as a group.  A GroupElement checks det != 0 once, when
-built from a matrix, and keeps that determinant; products and inverses
-take theirs from the group law (det(sigma tau) = det sigma det tau,
+GL(n, K) is used as a group.  A GroupElement built from a matrix runs
+one fraction-free Gauss-Jordan elimination: its last pivot gives det,
+so det != 0 is checked once, and its right half gives the inverse,
+which is kept and linked back.  Products and inverses take their
+determinants from the group law (det(sigma tau) = det sigma det tau,
 det(sigma^{-1}) = 1/det sigma) with no further check, and each element
-computes its inverse at most once.  log_deriv, adjoint and
-gauge_transform evaluate their products on polynomial numerator
-matrices over one denominator and reduce each entry of the result once;
-for a polynomial sigma, l(sigma) = sigma' adj(sigma) / det(sigma).
+computes its inverse at most once.  Each element keeps its matrix as
+numerators in Z[i][t] over one denominator, and products, log_deriv,
+adjoint and gauge_transform are evaluated in that form and reduce each
+entry of the result once; for a polynomial sigma,
+l(sigma) = sigma' adj(sigma) / det(sigma).
 """
 
 from __future__ import annotations
 
 from .errors import BadBlockSize, DimensionMismatch, Singular, ToolkitError
-from .matrix import MatK, _OneDen
-from .ratfunc import RF_ONE
+from .matrix import MatK, _entry, _OneDen
+from .ratfunc import _zpow
 
 
 class AutomorphicField:
@@ -55,18 +58,19 @@ class AutomorphicField:
 class GroupElement:
     """An element of GL(n, K): a square matrix with det != 0 in K."""
 
-    __slots__ = ("n", "sigma", "_det", "_inverse")
+    __slots__ = ("n", "sigma", "_det", "_inverse", "_oneden")
 
     def __init__(self, sigma: MatK):
         if not sigma.is_square:
             raise DimensionMismatch("group element must be square")
-        det = sigma.det()
-        if det.is_zero():
-            raise Singular("group element must be invertible over K")
         self.n = sigma.rows
         self.sigma = sigma
-        self._det = det
-        self._inverse = None
+        self._oneden = None
+        try:
+            det_n, d_n = self._invert()
+        except Singular:
+            raise Singular("group element must be invertible over K") from None
+        self._det = _entry(det_n, d_n)
 
     @staticmethod
     def _known(sigma: MatK, det) -> "GroupElement":
@@ -76,19 +80,35 @@ class GroupElement:
         g.sigma = sigma
         g._det = det
         g._inverse = None
+        g._oneden = None
         return g
+
+    def _one_den(self) -> _OneDen:
+        """sigma as numerators over one denominator, built once."""
+        if self._oneden is None:
+            self._oneden = _OneDen.of(self.sigma)
+        return self._oneden
+
+    def _invert(self):
+        """Sets the inverse, linked back to self, from one fraction-free
+        Gauss-Jordan on sigma = N / d, and returns (det N, d^n)."""
+        q = self._one_den()
+        inv, det_n = q.inverse()
+        d_n = _zpow(q.den, self.n)
+        self._inverse = GroupElement._known(inv.to_matk(), _entry(d_n, det_n))
+        self._inverse._inverse = self
+        return det_n, d_n
 
     def inverse(self) -> "GroupElement":
         if self._inverse is None:
-            inv = GroupElement._known(self.sigma.inverse(), RF_ONE / self._det)
-            inv._inverse = self
-            self._inverse = inv
+            self._invert()
         return self._inverse
 
     def __mul__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return GroupElement._known(self.sigma * other.sigma, self._det * other._det)
+        product = (self._one_den() * other._one_den()).to_matk()
+        return GroupElement._known(product, self._det * other._det)
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
@@ -104,25 +124,24 @@ class GroupElement:
 
 def log_deriv(sigma: GroupElement) -> AutomorphicField:
     """l(sigma) = sigma' * sigma^{-1}; vanishes on constant matrices."""
-    inv = _OneDen.of(sigma.inverse().sigma)
-    return AutomorphicField((_OneDen.of(sigma.sigma).derive() * inv).to_matk())
+    return AutomorphicField((sigma._one_den().derive() * sigma.inverse()._one_den()).to_matk())
 
 
 def adjoint(tau: GroupElement, a: AutomorphicField) -> AutomorphicField:
     """Adj_tau(A) = tau * A * tau^{-1}."""
     if tau.n != a.n:
         raise DimensionMismatch("adjoint size mismatch")
-    inv = _OneDen.of(tau.inverse().sigma)
-    return AutomorphicField((_OneDen.of(tau.sigma) * _OneDen.of(a.matrix) * inv).to_matk())
+    product = tau._one_den() * _OneDen.of(a.matrix) * tau.inverse()._one_den()
+    return AutomorphicField(product.to_matk())
 
 
 def gauge_transform(tau: GroupElement, a: AutomorphicField) -> AutomorphicField:
     """The gauge action of left translation: A -> tau A tau^{-1} + tau' tau^{-1}."""
     if tau.n != a.n:
         raise DimensionMismatch("gauge size mismatch")
-    t = _OneDen.of(tau.sigma)
-    inv = _OneDen.of(tau.inverse().sigma)
-    return AutomorphicField(((t * _OneDen.of(a.matrix) + t.derive()) * inv).to_matk())
+    t = tau._one_den()
+    product = (t * _OneDen.of(a.matrix) + t.derive()) * tau.inverse()._one_den()
+    return AutomorphicField(product.to_matk())
 
 
 def check_automorphic_solution(a: AutomorphicField, sigma: GroupElement) -> bool:

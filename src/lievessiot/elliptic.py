@@ -19,12 +19,11 @@ chord-tangent oracle:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (DegenerateEnergy, NotOnCurve, PointCollision,
                      RelationViolated, SingularCurve, ZeroCoefficient)
 from .mpoly import MPoly
 from .ratfunc import RatFunc, _as_rf
+from .records import Record
 from .scalars import GaussianRational
 
 
@@ -167,8 +166,9 @@ def paper_addition(curve: WeierstrassCurve, a, b, db, p0: CurvePoint):
     return xi, eta
 
 
-@dataclass(frozen=True)
-class TangencyReport:
+class TangencyReport(Record):
+    __slots__ = ("displayed_residual", "tangent_residual", "displayed_is_tangent",
+                 "adopted_coefficient")
     displayed_residual: MPoly
     tangent_residual: MPoly
     displayed_is_tangent: bool
@@ -210,8 +210,8 @@ class PendulumParams:
         self.h = h
 
 
-@dataclass(frozen=True)
-class PendulumAudit:
+class PendulumAudit(Record):
+    __slots__ = ("holds", "lhs", "rhs")
     holds: bool
     lhs: tuple
     rhs: tuple

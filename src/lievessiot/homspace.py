@@ -23,13 +23,13 @@ silently permuting; the CLI exposes an explicit --permute flag.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 from .automorphic import AutomorphicField, GroupElement
 from .errors import BadBlockSize, ChartMinorVanishes, DimensionMismatch, Singular
 from .matrix import MatK
 from .mpoly import MPoly
 from .ratfunc import RF_ONE, RF_ZERO
+from .records import Record
 from .scalars import GaussianRational
 
 
@@ -247,8 +247,8 @@ def flag_to_grassmann(flag: FlagCoords, m: int) -> PlaneCoords:
     return plucker_coords(first_cols, m)
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(Record):
+    __slots__ = ("tau", "field", "is_solution")
     tau: GroupElement
     field: AutomorphicField
     is_solution: bool

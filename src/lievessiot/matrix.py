@@ -1,24 +1,29 @@
 """Exact linear algebra over K = C(t).
 
 MatK is a dense rectangular matrix of RatFunc entries.  Determinants and
-inverses are fraction-free: the matrix is written as polynomial
-numerator rows N over one common denominator d (the lcm of the entry
-denominators), det runs Bareiss elimination on N and inverse runs
-fraction-free Gauss-Jordan on [N | I] (Bareiss, Math. Comp. 22, 1968;
-Nakos, Turner and Williams, 1997).  Every division inside is exact in
-C[t], so no gcd is taken until each result entry is brought to canonical
-form, once.  Pivots are the first row with a nonzero entry, which is
-deterministic.  Ring operations (+, -, *) also run on entries of any
-commutative ring that mixes with K, such as MPoly, which is how the
-Riccati and flag tables evaluate their right-hand sides at symbolic
-coordinates.
+inverses are fraction-free: the matrix is written as numerator rows N in
+Z[i][t] over one common denominator d (an integer times the primitive
+lcm of the entry denominators), det runs Bareiss elimination on N and
+inverse runs fraction-free Gauss-Jordan on [N | I] (Bareiss, Math. Comp.
+22, 1968; Nakos, Turner and Williams, 1997).  Z[i][t] is an integral
+domain and every division inside is exact there, so the eliminations
+run on Gaussian-integer coefficient lists, in Python ints, with no
+Fraction and no gcd; each result entry is brought to canonical form
+once, by one primitive gcd.  Pivots are the first row with a nonzero
+entry, which is deterministic.  Ring operations (+, -, *) also run on
+entries of any commutative ring that mixes with K, such as MPoly, which
+is how the Riccati and flag tables evaluate their right-hand sides at
+symbolic coordinates.
 """
 
 from __future__ import annotations
 
+import math
+
 from .errors import BadBlockSize, DimensionMismatch, PrincipalMinorVanishes, Singular
-from .ratfunc import _ONE_POLY, RF_ONE, RF_ZERO, Poly, RatFunc, _as_rf
-from .scalars import ONE, GaussianRational
+from .ratfunc import (_ZONE, RF_ONE, RF_ZERO, RatFunc, _as_rf, _clear, _content, _from_zi,
+                      _zderiv, _zdot, _zgcd, _zmul, _zneg, _zpow, _zquo)
+from .scalars import GaussianRational
 
 
 class MatK:
@@ -133,18 +138,13 @@ class MatK:
         if not self.is_square:
             raise DimensionMismatch("determinant of a non-square matrix")
         q = _OneDen.of(self)
-        den = _ONE_POLY
-        for _ in range(self.rows):
-            den = _times(den, q.den)
-        return _entry(_bareiss_det(q.rows), den)
+        return _entry(_bareiss_det(q.rows), _zpow(q.den, self.rows))
 
     def inverse(self) -> "MatK":
         """Exact inverse d * adj(N) / det(N) by fraction-free Gauss-Jordan; raises Singular."""
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
-        q = _OneDen.of(self)
-        det_n, adj = _fraction_free_inverse(q.rows)
-        return _OneDen([[_times(a, q.den) for a in row] for row in adj], det_n).to_matk()
+        return _OneDen.of(self).inverse()[0].to_matk()
 
     def principal_minors(self):
         """The n leading principal minors (top-left k x k determinants)."""
@@ -229,142 +229,178 @@ class MatK:
         return format_matrix(self)
 
 
-# -- fraction-free kernels over C[t] -----------------------------------------
+# -- fraction-free kernels over Z[i][t] --------------------------------------
 
 
-def _times(p: Poly, q: Poly) -> Poly:
-    """p * q, skipping the product when either factor is the polynomial 1."""
-    if q == _ONE_POLY:
-        return p
-    if p == _ONE_POLY:
-        return q
-    return p * q
+def _entries(nums, den):
+    """The canonical RatFuncs num / den for each num in Z[i][t], den nonzero.
+
+    Each takes one primitive gcd (none when either side is a constant),
+    exact quotients, then division by the remaining denominator's leading
+    Gaussian integer.  Entries that share all of den share its Poly.
+    """
+    lead = den[-1]
+    whole = None
+    out = []
+    for num in nums:
+        if not num:
+            out.append(RF_ZERO)
+            continue
+        d = den
+        if len(num) > 1 and len(den) > 1:
+            g = _zgcd(num, den)
+            if len(g) > 1:
+                num, d = _zquo(num, g), _zquo(den, g)
+        if d is den:
+            if whole is None:
+                whole = _from_zi(den, lead)
+            out.append(RatFunc(_from_zi(num, lead), whole, _canonical=True))
+        else:
+            out.append(RatFunc(_from_zi(num, d[-1]), _from_zi(d, d[-1]), _canonical=True))
+    return out
 
 
-def _exact_div(p: Poly, q: Poly) -> Poly:
-    """p / q for a q known to divide p."""
-    return p if q == _ONE_POLY else p.divmod(q)[0]
-
-
-def _entry(num: Poly, den: Poly) -> RatFunc:
-    """The canonical RatFunc num / den: one gcd, none for a constant den."""
-    if den.degree > 0:
-        return RatFunc(num, den)
-    if den != _ONE_POLY:
-        num = num * (ONE / den.coeffs[0])
-    return RatFunc(num, _ONE_POLY, _canonical=True)
+def _entry(num, den) -> RatFunc:
+    """The canonical RatFunc num / den for num, den in Z[i][t], den nonzero."""
+    return _entries((num,), den)[0]
 
 
 def _pivot_row(m, k):
     """Index of the first row at or below k with a nonzero entry in column k, or None."""
-    return next((r for r in range(k, len(m)) if not m[r][k].is_zero()), None)
+    return next((r for r in range(k, len(m)) if m[r][k]), None)
 
 
-def _bareiss_det(rows) -> Poly:
-    """det of a square matrix of Poly rows by Bareiss elimination."""
+def _bareiss_det(rows):
+    """det of a square matrix over Z[i][t] by Bareiss elimination."""
     n = len(rows)
     m = [list(r) for r in rows]
-    prev = _ONE_POLY
+    prev = _ZONE
     negate = False
     for k in range(n):
         r = _pivot_row(m, k)
         if r is None:
-            return Poly()
+            return []
         if r != k:
             m[k], m[r] = m[r], m[k]
             negate = not negate
-        pivot = m[k][k]
+        pivot_row = m[k]
+        pivot = pivot_row[k]
         for i in range(k + 1, n):
-            f = m[i][k]
+            row = m[i]
+            f = _zneg(row[k])
             for j in range(k + 1, n):
-                m[i][j] = _exact_div(pivot * m[i][j] - f * m[k][j], prev)
+                row[j] = _zquo(_zdot(((pivot, row[j]), (f, pivot_row[j]))), prev)
         prev = pivot
-    return -prev if negate else prev
+    return _zneg(prev) if negate else prev
 
 
 def _fraction_free_inverse(rows):
-    """(D, R) with N^{-1} = R / D for square Poly rows N; raises Singular.
+    """(D, R, negate) with N^{-1} = R / D and det N = -D if negate else D,
+    for a square matrix N over Z[i][t]; raises Singular.
 
     Fraction-free Gauss-Jordan on [N | I]: at step k every row other than
     k becomes (pivot * row - row[k] * pivot row) / previous pivot, an
     exact division.  At the end the right half is D N^{-1} with D the
-    last pivot, which is +-det N.  Columns up to k are left as they are:
-    no later step reads them, and only the right half is returned.
+    last pivot, which is det N up to the sign of the row swaps.  Columns
+    up to k are left as they are: no later step reads them, and only the
+    right half is returned.
     """
     n = len(rows)
-    zero = Poly()
-    m = [list(r) + [_ONE_POLY if i == j else zero for j in range(n)]
-         for i, r in enumerate(rows)]
-    prev = _ONE_POLY
+    m = [list(r) + [_ZONE if i == j else [] for j in range(n)] for i, r in enumerate(rows)]
+    prev = _ZONE
+    negate = False
     for k in range(n):
         r = _pivot_row(m, k)
         if r is None:
             raise Singular("matrix is singular over K")
-        m[k], m[r] = m[r], m[k]
+        if r != k:
+            m[k], m[r] = m[r], m[k]
+            negate = not negate
         pivot_row = m[k]
         pivot = pivot_row[k]
         for i in range(n):
             if i == k:
                 continue
             row = m[i]
-            f = row[k]
+            f = _zneg(row[k])
             for j in range(k + 1, 2 * n):
-                row[j] = _exact_div(pivot * row[j] - f * pivot_row[j], prev)
+                row[j] = _zquo(_zdot(((pivot, row[j]), (f, pivot_row[j]))), prev)
         prev = pivot
-    return prev, [row[n:] for row in m]
+    return prev, [row[n:] for row in m], negate
 
 
 class _OneDen:
-    """A matrix over K as polynomial numerator rows over one denominator.
+    """A matrix over K as numerator rows in Z[i][t] over one denominator.
 
-    Products, sums and the derivative stay in this form, so a formula
-    such as sigma' sigma^{-1} is evaluated in C[t] and each entry of the
-    result is brought to canonical form once, by to_matk.  The
-    denominator need not be monic or reduced against the rows.
+    Products, sums, the derivative and the eliminations stay in this
+    form and in Python ints, so a formula such as sigma' sigma^{-1} is
+    evaluated in Z[i][t] and each entry of the result is brought to
+    canonical form once, by to_matk.  The denominator need not be monic,
+    primitive or reduced against the rows.
     """
 
     __slots__ = ("rows", "den")
 
-    def __init__(self, rows, den: Poly):
+    def __init__(self, rows, den):
         self.rows = rows
         self.den = den
 
     @staticmethod
     def of(mat: MatK) -> "_OneDen":
-        """N / d with d the monic lcm of the entry denominators."""
-        den = _ONE_POLY
+        """N / d with d = s P: P the primitive lcm of the entry denominators
+        in Z[i][t] and s the lcm of the integers that clear their scalars.
+
+        An entry's denominator, cleared to b den = g p with g its content
+        and p primitive, is p * norm(g) / (b conj(g)); its numerator,
+        cleared, is n / a.  Every p divides P in Z[i][t] (Gauss's lemma).
+        """
+        dens = {}  # id of a denominator -> (p, b conj(g), norm(g)); entries often share one
         for e in mat.entries:
-            if e.den != den and e.den != _ONE_POLY:
-                den = e.den if den == _ONE_POLY else den * e.den.divmod(den.gcd(e.den))[0]
-        rows = [[_times(e.num, _exact_div(den, e.den))
-                 for e in mat.entries[i * mat.cols:(i + 1) * mat.cols]]
-                for i in range(mat.rows)]
-        return _OneDen(rows, den)
+            if id(e.den) not in dens:
+                dd, b = _clear(e.den)
+                g = _content(dd)
+                dens[id(e.den)] = (_zquo(dd, [g]), (b * g[0], -b * g[1]), g[0] * g[0] + g[1] * g[1])
+        lcm = _ZONE
+        for p, _, _ in dens.values():
+            if p != lcm and p != _ZONE:
+                lcm = p if lcm == _ZONE else _zmul(lcm, _zquo(p, _zgcd(lcm, p)))
+        cofactors = {key: _zquo(lcm, p) for key, (p, _, _) in dens.items()}
+        nums = [_clear(e.num) for e in mat.entries]
+        s = math.lcm(*(a * dens[id(e.den)][2] for (_, a), e in zip(nums, mat.entries)))
+        flat = []
+        for (n, a), e in zip(nums, mat.entries):
+            _, (ur, ui), w = dens[id(e.den)]
+            c = s // (a * w)
+            flat.append(_zmul(_zmul(n, [(ur * c, ui * c)]), cofactors[id(e.den)]))
+        cols = mat.cols
+        return _OneDen([flat[i:i + cols] for i in range(0, len(flat), cols)],
+                       _zmul([(s, 0)], lcm))
 
     def __mul__(self, other: "_OneDen") -> "_OneDen":
         cols = range(len(other.rows[0]))
-        out = []
-        for arow in self.rows:
-            row = []
-            for j in cols:
-                acc = Poly()
-                for a, brow in zip(arow, other.rows):
-                    if not a.is_zero():
-                        acc = acc + a * brow[j]
-                row.append(acc)
-            out.append(row)
-        return _OneDen(out, _times(self.den, other.den))
+        return _OneDen([[_zdot([(a, brow[j]) for a, brow in zip(arow, other.rows)]) for j in cols]
+                        for arow in self.rows], _zmul(self.den, other.den))
 
     def __add__(self, other: "_OneDen") -> "_OneDen":
-        return _OneDen([[_times(a, other.den) + _times(b, self.den) for a, b in zip(r, s)]
-                        for r, s in zip(self.rows, other.rows)], _times(self.den, other.den))
+        d, e = self.den, other.den
+        return _OneDen([[_zdot(((a, e), (b, d))) for a, b in zip(r, s)]
+                        for r, s in zip(self.rows, other.rows)], _zmul(d, e))
 
     def derive(self) -> "_OneDen":
-        """(N / d)' = (N' d - N d') / d^2."""
-        d, dd = self.den, self.den.derivative()
-        return _OneDen([[_times(a.derivative(), d) - a * dd for a in r] for r in self.rows],
-                       _times(d, d))
+        """(N / d)' = (N' d - N d') / d^2, and N' / d for a constant d."""
+        d = self.den
+        if len(d) == 1:
+            return _OneDen([[_zderiv(a) for a in r] for r in self.rows], d)
+        dd = _zneg(_zderiv(d))
+        return _OneDen([[_zdot(((_zderiv(a), d), (a, dd))) for a in r] for r in self.rows],
+                       _zmul(d, d))
+
+    def inverse(self):
+        """(d R / D, det N) for this N / d, by fraction-free Gauss-Jordan; raises Singular."""
+        pivot, right, negate = _fraction_free_inverse(self.rows)
+        return (_OneDen([[_zmul(self.den, a) for a in r] for r in right], pivot),
+                _zneg(pivot) if negate else pivot)
 
     def to_matk(self) -> MatK:
         return MatK(len(self.rows), len(self.rows[0]),
-                    [_entry(a, self.den) for r in self.rows for a in r])
+                    _entries([a for r in self.rows for a in r], self.den))

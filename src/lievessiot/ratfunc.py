@@ -9,6 +9,7 @@ the package reduces to ==.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .errors import DivisionByZero, PoleAtPoint
 from .scalars import GaussianRational, ONE, ZERO, _as_gauss
@@ -124,16 +125,8 @@ class Poly:
             return other.monic()
         if other.is_zero():
             return self.monic()
-        a = _int_coeffs(self)
-        b = _int_coeffs(other)
-        if len(a) < len(b):
-            a, b = b, a
-        while True:
-            r = _pseudo_rem(a, b)
-            if not r:
-                break
-            a, b = b, _primitive(r)
-        return Poly([GaussianRational(re, im) for re, im in b]).monic()
+        g = _zgcd(_clear(self)[0], _clear(other)[0])
+        return _from_zi(g, g[-1])
 
     def derivative(self) -> "Poly":
         return Poly([self.coeffs[k] * GaussianRational(k) for k in range(1, len(self.coeffs))])
@@ -156,9 +149,12 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
-# -- gcd helpers over the Gaussian integers ---------------------------------
-# Gaussian integers are (re, im) pairs of ints; polynomials are dense
-# lowest-first coefficient lists without trailing zeros.
+# -- polynomials over the Gaussian integers ---------------------------------
+# Gaussian integers are (re, im) pairs of ints; a polynomial in Z[i][t] is
+# a dense lowest-first list of them without trailing zeros ([] is zero).
+# The gcd and the fraction-free matrix kernels run on these, in ints only.
+
+_ZONE = [(1, 0)]
 
 
 def _gi_mul(x, y):
@@ -192,20 +188,31 @@ def _gi_divexact(x, g):
     return (p[0] // n, p[1] // n)
 
 
-def _primitive(coeffs):
+def _content(coeffs):
+    """A gcd in Z[i] of the coefficients; (1, 0) when it is a unit.
+
+    A content g that is not a unit divides every coefficient, so its
+    norm, at least 2, divides every coefficient's norm: when the norms
+    are coprime the Euclid loop is skipped.
+    """
+    n = 0
+    for re, im in coeffs:
+        n = math.gcd(n, re * re + im * im)
+        if n == 1:
+            return (1, 0)
     g = (0, 0)
     for c in coeffs:
         g = _gi_gcd(g, c)
         if g in ((1, 0), (0, 1), (-1, 0), (0, -1)):
-            return coeffs
+            return (1, 0)
+    return g
+
+
+def _primitive(coeffs):
+    g = _content(coeffs)
+    if g == (1, 0):
+        return coeffs
     return [_gi_divexact(c, g) for c in coeffs]
-
-
-def _int_coeffs(p: "Poly"):
-    scale = 1
-    for c in p.coeffs:
-        scale = math.lcm(scale, c.re.denominator, c.im.denominator)
-    return _primitive([(int(c.re * scale), int(c.im * scale)) for c in p.coeffs])
 
 
 def _pseudo_rem(a, b):
@@ -222,6 +229,113 @@ def _pseudo_rem(a, b):
         while r and r[-1] == (0, 0):
             r.pop()
     return r
+
+
+def _zgcd(a, b):
+    """The primitive gcd of nonzero a and b, up to a unit; it divides both in Z[i][t]."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while True:
+        r = _pseudo_rem(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+
+
+def _strip(re, im):
+    while re and not re[-1] and not im[-1]:
+        re.pop()
+        im.pop()
+    return list(zip(re, im))
+
+
+def _zdot(pairs):
+    """The sum of the products a * b over the (a, b) pairs."""
+    size = max((len(a) + len(b) - 1 for a, b in pairs if a and b), default=0)
+    re, im = [0] * size, [0] * size
+    for a, b in pairs:
+        if not a or not b:
+            continue
+        for j, (ar, ai) in enumerate(a):
+            if ai:
+                for k, (br, bi) in enumerate(b, j):
+                    re[k] += ar * br - ai * bi
+                    im[k] += ar * bi + ai * br
+            elif ar:
+                for k, (br, bi) in enumerate(b, j):
+                    re[k] += ar * br
+                    im[k] += ar * bi
+    return _strip(re, im)
+
+
+def _zmul(a, b):
+    if b == _ZONE:
+        return a
+    if a == _ZONE:
+        return b
+    return _zdot(((a, b),))
+
+
+def _zneg(a):
+    return [(-re, -im) for re, im in a]
+
+
+def _zpow(a, n: int):
+    out = _ZONE
+    for _ in range(n):
+        out = _zmul(out, a)
+    return out
+
+
+def _zderiv(a):
+    return [(k * re, k * im) for k, (re, im) in enumerate(a) if k]
+
+
+def _zquo(a, b):
+    """a / b for a b that divides a in Z[i][t]: long division, each
+    coefficient divided by b's leading one as c * conj(lead) / norm(lead)."""
+    if b == _ZONE:
+        return a
+    br, bi = b[-1]
+    n = br * br + bi * bi
+    db = len(b) - 1
+    re = [c[0] for c in a]
+    im = [c[1] for c in a]
+    q = [None] * (len(a) - db)
+    for k in range(len(a) - 1 - db, -1, -1):
+        cr, ci = re[k + db], im[k + db]
+        qr, qi = (cr * br + ci * bi) // n, (ci * br - cr * bi) // n
+        q[k] = (qr, qi)
+        for j in range(db):
+            xr, xi = b[j]
+            re[k + j] -= qr * xr - qi * xi
+            im[k + j] -= qr * xi + qi * xr
+    return q
+
+
+def _clear(p: "Poly"):
+    """(a, m) with p = a / m, a in Z[i][t] and m the positive lcm of the
+    coefficient denominators."""
+    m = 1
+    for c in p.coeffs:
+        m = math.lcm(m, c.re.denominator, c.im.denominator)
+    return [(c.re.numerator * (m // c.re.denominator), c.im.numerator * (m // c.im.denominator))
+            for c in p.coeffs], m
+
+
+def _from_zi(a, lead) -> "Poly":
+    """The Poly a / lead for a in Z[i][t] and a nonzero Gaussian integer lead."""
+    lr, li = lead
+    if lead == (1, 0):
+        coeffs = [GaussianRational(re, im) for re, im in a]
+    else:
+        n = lr * lr + li * li
+        coeffs = [GaussianRational(Fraction(re * lr + im * li, n), Fraction(im * lr - re * li, n))
+                  for re, im in a]
+    p = object.__new__(Poly)
+    p.coeffs = tuple(coeffs)
+    return p
 
 
 _ONE_POLY = Poly([1])

@@ -9,13 +9,38 @@ from lievessiot.automorphic import (AutomorphicField, GroupElement, adjoint,
 from lievessiot.errors import BadBlockSize, DimensionMismatch, Singular, ToolkitError
 from lievessiot.matrix import MatK
 from lievessiot.parsing import parse_matrix
+from lievessiot.ratfunc import RF_ONE
 
 from support import rand_invertible
 
 
 def test_group_element_rejects_singular():
-    with pytest.raises(Singular):
+    with pytest.raises(Singular, match="group element must be invertible over K"):
         GroupElement(parse_matrix("[1, 1; 1, 1]"))
+
+
+def test_group_element_eliminates_once(monkeypatch):
+    # det sigma and sigma^{-1} come from one Gauss-Jordan in __init__;
+    # products and inverses of inverses need no further MatK elimination
+    rng = random.Random(30)
+    for rational in (False, True):
+        sigma = rand_invertible(rng, 3, 2)
+        if rational:
+            sigma = sigma * parse_matrix("[1/(t - 1), 0, 0; 0, 1, 0; t/(t + i), 0, 1]")
+        det, inv = sigma.det(), sigma.inverse()
+
+        def again(self):
+            raise AssertionError("a second elimination")
+
+        with monkeypatch.context() as m:
+            m.setattr(MatK, "det", again)
+            m.setattr(MatK, "inverse", again)
+            g = GroupElement(sigma)
+            assert g._det == det and g.inverse().sigma == inv
+            assert g.inverse()._det == RF_ONE / det and g.inverse().inverse() is g
+            product = g * g.inverse()
+            assert product.sigma == MatK.identity(3) and product._det == RF_ONE
+            assert log_deriv(product).matrix.is_zero()
 
 
 def test_log_deriv_example():
@@ -35,6 +60,7 @@ def test_cocycle_law_random():
         sigma = GroupElement(rand_invertible(rng, n, 1))
         tau = GroupElement(rand_invertible(rng, n, 1))
         product = sigma * tau
+        assert product.sigma == sigma.sigma * tau.sigma
         # the group law gives det(sigma tau) = det sigma det tau, unchecked
         assert product._det == product.sigma.det()
         lhs = log_deriv(product).matrix

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -8,7 +9,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from lievessiot.errors import (BadBlockSize, DimensionMismatch,
                                PrincipalMinorVanishes, Singular)
-from lievessiot.matrix import MatK
+from lievessiot.matrix import MatK, _entry
 from lievessiot.parsing import parse_matrix
 from lievessiot.ratfunc import RF_ONE, RF_T, RF_ZERO, Poly, RatFunc
 from lievessiot.scalars import GaussianRational
@@ -151,9 +152,11 @@ def test_scalar_multiplication():
 _K = sympy.QQ_I.frac_field(sympy.Symbol("t"))
 _coeff = st.builds(GaussianRational, st.fractions(-3, 3, max_denominator=2), st.integers(-2, 2))
 _poly = st.lists(_coeff, max_size=3).map(Poly)
-# denominators 1, t, t - 1 and t + i: a short list keeps the common
-# denominator of a 4 x 4 matrix small
-_den = st.sampled_from([Poly([1]), Poly([0, 1]), Poly([-1, 1]), Poly([GaussianRational(0, 1), 1])])
+# denominators 1, t, t - 1, t + i and t + (1 + i)/2: a short list keeps
+# the common denominator of a 4 x 4 matrix small; the last one clears to
+# (1 + i) + 2t, whose Gaussian content 1 + i is not a unit
+_den = st.sampled_from([Poly([1]), Poly([0, 1]), Poly([-1, 1]), Poly([GaussianRational(0, 1), 1]),
+                        Poly([GaussianRational(Fraction(1, 2), Fraction(1, 2)), 1])])
 
 
 @st.composite
@@ -206,3 +209,51 @@ def test_det_and_inverse_match_sympy(m):
     scale = k(d.element) / k(det_n)
     adj = numerators.adjugate().to_list()
     assert all(not _to_k(inv[i, j]) - scale * k(adj[i][j]) for i in range(n) for j in range(n))
+
+
+# -- canonical entries from Z[i][t] against sympy's cancel over Q(i) ----------
+
+_Q = sympy.ring("t", sympy.QQ_I)[0]
+_zi = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
+
+
+def _trim(coeffs):
+    while coeffs and coeffs[-1] == (0, 0):
+        coeffs.pop()
+    return coeffs
+
+
+_zpoly = st.lists(_zi, max_size=4).map(_trim)
+
+
+def _qi(a):
+    return _Q.from_dict({(k,): sympy.QQ_I(re, im) for k, (re, im) in enumerate(a) if re or im})
+
+
+def _zmul_ref(a, b):
+    if not a or not b:
+        return []
+    out = [(0, 0)] * (len(a) + len(b) - 1)
+    for j, (ar, ai) in enumerate(a):
+        for k, (br, bi) in enumerate(b):
+            re, im = out[j + k]
+            out[j + k] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
+    return out
+
+
+def _from_poly(poly):
+    return _Q.from_dict({(k,): sympy.QQ_I(sympy.QQ(c.re.numerator, c.re.denominator),
+                                          sympy.QQ(c.im.numerator, c.im.denominator))
+                         for k, c in enumerate(poly.coeffs)})
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_zpoly, _zpoly.filter(bool), _zpoly.filter(bool))
+def test_entry_is_the_canonical_form_of_sympy_cancel(a, b, c):
+    # a common factor c makes the gcd nontrivial in most examples
+    num, den = _zmul_ref(a, c), _zmul_ref(b, c)
+    ours = _entry(num, den)
+    assert all(not p.coeffs or not p.coeffs[-1].is_zero() for p in (ours.num, ours.den))
+    p, q = _qi(num).cancel(_qi(den))
+    lead = q.LC
+    assert (_from_poly(ours.num), _from_poly(ours.den)) == (p.quo_ground(lead), q.quo_ground(lead))

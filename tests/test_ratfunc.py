@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lievessiot.errors import DivisionByZero, PoleAtPoint
-from lievessiot.ratfunc import (Poly, RatFunc, RF_ONE, RF_T, RF_ZERO,
+from lievessiot.ratfunc import (Poly, RatFunc, RF_ONE, RF_T, RF_ZERO, _content,
+                                _primitive, _zderiv, _zdot, _zgcd, _zmul, _zquo,
                                 check_exponential_solution,
                                 check_integral_solution)
 from lievessiot.scalars import GaussianRational, gq
@@ -141,3 +145,54 @@ def test_quadrature_checks():
     a = RatFunc.const(3) / (RF_T - RF_ONE)
     assert check_exponential_solution(a, b)
     assert not check_exponential_solution(a + RF_ONE, b)
+
+
+# -- the Z[i][t] kernels against sympy's ZZ_I[t] ------------------------------
+
+_R, _t = sympy.ring("t", sympy.ZZ_I)
+_UNITS = [sympy.ZZ_I(1, 0), sympy.ZZ_I(-1, 0), sympy.ZZ_I(0, 1), sympy.ZZ_I(0, -1)]
+
+
+def _trim(coeffs):
+    while coeffs and coeffs[-1] == (0, 0):
+        coeffs.pop()
+    return coeffs
+
+
+# small degrees and coefficients keep products and gcds quick; Gaussian
+# leading coefficients exercise the conjugate in the exact division
+_zi = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
+_zpoly = st.lists(_zi, max_size=5).map(_trim)
+_nonzero = _zpoly.filter(bool)
+
+
+def _sym(a):
+    return _R.from_dict({(k,): sympy.ZZ_I(re, im) for k, (re, im) in enumerate(a)
+                         if re or im})
+
+
+def _up_to_unit(ours, ref):
+    return any(ours == ref * u for u in _UNITS)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_zpoly, _zpoly, _nonzero)
+def test_zi_ring_operations_match_sympy(a, b, c):
+    for x in (_zmul(a, b), _zdot(((a, b), (c, c))), _zderiv(a), _zquo(_zmul(a, c), c)):
+        assert not x or x[-1] != (0, 0)  # no trailing zeros
+    assert _sym(_zmul(a, b)) == _sym(a) * _sym(b)
+    assert _sym(_zdot(((a, b), (c, c)))) == _sym(a) * _sym(b) + _sym(c) ** 2
+    assert _sym(_zderiv(a)) == _sym(a).diff(_t)
+    assert _sym(_zquo(_zmul(a, c), c)) == (_sym(a) * _sym(c)).exquo(_sym(c)) == _sym(a)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_nonzero, _nonzero, _nonzero)
+def test_zi_gcd_and_content_match_sympy(a, b, c):
+    f, g = _zmul(a, c), _zmul(b, c)
+    ours = _zgcd(f, g)
+    assert _up_to_unit(_sym(ours), _sym(f).gcd(_sym(g)).primitive()[1])
+    assert _sym(_zquo(f, ours)) * _sym(ours) == _sym(f)
+    content, primitive = _sym(f).primitive()
+    assert _up_to_unit(sympy.ZZ_I(*_content(f)), content)
+    assert _up_to_unit(_sym(_primitive(f)), primitive)
