@@ -7,13 +7,15 @@ spanning n x m matrix) satisfy the matrix Riccati equation
 
 and the strictly-lower flag coordinates (the unit-lower factor of the
 LU decomposition of a fundamental matrix) satisfy the polynomial flag
-equation (cubic for n <= 3; see flag_rhs).  A rational solution on the grassmanian (resp. the flag
-variety) yields a gauge transformation taking the automorphic field to
-block-upper (resp. upper-triangular) form.  Both reductions compute the
-gauged field once, in closed form: B = [[A11 + A12 L, A12],
-[Riccati rhs - L', A22 - L A12]] for planes, B = L^{-1}(A L - L') for
-flags; the verdict is read off B, since L solves its system iff B has
-that shape.
+equation (cubic for n <= 3; see flag_rhs).  A rational solution on the
+grassmanian (resp. the flag variety) yields a gauge transformation taking
+the automorphic field to block-upper (resp. upper-triangular) form, the
+Lie algebra of the stabilizer of the base point.  Both are one Lie-Kolchin
+reduction (_reduce): with g the unit-lower chart point of the coordinates,
+g = [[I, 0], [Lambda, I]] for m-planes and g = L for flags, the gauge is
+tau = g^{-1} by forward substitution and the gauged field is
+B = g^{-1}(A g - g'), computed once; the coordinates solve their system
+iff B lies in that subalgebra, so the verdict is is_in_subalgebra(B).
 
 Charts are fixed to the standard basis order.  When a chart minor
 vanishes the operation fails with the offending index rather than
@@ -24,11 +26,11 @@ from __future__ import annotations
 
 import warnings
 
-from .automorphic import AutomorphicField, GroupElement
+from .automorphic import AutomorphicField, GroupElement, is_in_subalgebra
 from .errors import BadBlockSize, ChartMinorVanishes, DimensionMismatch, Singular
 from .matrix import MatK
 from .mpoly import MPoly
-from .ratfunc import RF_ONE, RF_ZERO
+from .ratfunc import RF_ONE, RF_ZERO, _as_rf
 from .records import Record
 from .scalars import GaussianRational
 
@@ -254,34 +256,6 @@ class ReductionResult(Record):
     is_solution: bool
 
 
-def reduce_by_plane(a: AutomorphicField, plane: PlaneCoords) -> ReductionResult:
-    """Gauge A by tau = [[I, 0], [-Lambda, I]], the inverse of [[I, 0], [Lambda, I]].
-
-    tau is unipotent, so its determinant is 1 and is not computed.
-
-    The gauged field tau A tau^{-1} + tau' tau^{-1} is, in closed form,
-    B = [[A11 + A12 Lambda, A12], [riccati_rhs - Lambda', A22 - Lambda A12]],
-    so Lambda solves the matrix Riccati system iff the (2,1) block of B
-    vanishes (the stabilizer of the standard m-plane), and the verdict
-    is read off B.  For a non-solution a NotASolutionWarning is emitted
-    and B is still returned.
-    """
-    n, m = plane.n, plane.m
-    if a.n != n:
-        raise DimensionMismatch("field and plane rank mismatch")
-    sys_ = riccati_generate(a, m)
-    lam = plane.Lambda
-    tau = GroupElement._known(MatK.block_join(MatK.identity(m), MatK.zero(m, n - m),
-                                              -lam, MatK.identity(n - m)), RF_ONE)
-    b21 = riccati_rhs(sys_, plane) - lam.derive()
-    b = MatK.block_join(sys_.a11 + sys_.a12 * lam, sys_.a12, b21, sys_.a22 - lam * sys_.a12)
-    ok = b21.is_zero()
-    if not ok:
-        warnings.warn("plane is not a Riccati solution; block shape not guaranteed",
-                      NotASolutionWarning, stacklevel=2)
-    return ReductionResult(tau, AutomorphicField(b), ok)
-
-
 def _unit_lower_inverse(lam: MatK) -> MatK:
     """L^{-1} of a unit-lower L by forward substitution, with no division:
     X_ij = -sum_{j <= k < i} L_ik X_kj below the unit diagonal.
@@ -302,58 +276,80 @@ def _unit_lower_inverse(lam: MatK) -> MatK:
     return MatK.from_rows(x)
 
 
+_NOT_A_SOLUTION = {
+    "block_upper": "plane is not a Riccati solution; block shape not guaranteed",
+    "upper_triangular": "coordinates do not solve the flag system; Borel shape not guaranteed",
+}
+
+
+def _reduce(a: AutomorphicField, g: MatK, shape: str, m: int | None = None) -> ReductionResult:
+    """Gauge A by tau = g^{-1}, g the unit-lower chart point of the coordinates.
+
+    tau comes from forward substitution and has determinant 1.  The gauged
+    field tau A tau^{-1} + tau' tau^{-1} is B = g^{-1}(A g - g').  The
+    coordinates solve their system iff B lies in the Lie algebra of the
+    stabilizer of the base point (shape, see is_in_subalgebra), so the
+    verdict is read off B.  For a non-solution a NotASolutionWarning is
+    emitted, pointing at the caller of reduce_by_*, and B is still returned.
+    """
+    tau = GroupElement._known(_unit_lower_inverse(g), RF_ONE)
+    field = AutomorphicField(tau.sigma * (a.matrix * g - g.derive()))
+    ok = is_in_subalgebra(field, shape, m)
+    if not ok:
+        warnings.warn(_NOT_A_SOLUTION[shape], NotASolutionWarning, stacklevel=3)
+    return ReductionResult(tau, field, ok)
+
+
+def reduce_by_plane(a: AutomorphicField, plane: PlaneCoords) -> ReductionResult:
+    """Gauge A by tau = [[I, 0], [-Lambda, I]], the inverse of g = [[I, 0], [Lambda, I]].
+
+    The (2,1) block of B = g^{-1}(A g - g') is the Riccati right-hand side
+    minus Lambda', so Lambda solves the matrix Riccati system iff B is
+    block upper (the stabilizer of the standard m-plane).  See _reduce.
+    """
+    n, m = plane.n, plane.m
+    if a.n != n:
+        raise DimensionMismatch("field and plane rank mismatch")
+    if not 1 <= m < n:
+        raise BadBlockSize(f"plane dimension {m} invalid for rank {n}")
+    g = MatK.block_join(MatK.identity(m), MatK.zero(m, n - m), plane.Lambda, MatK.identity(n - m))
+    return _reduce(a, g, "block_upper", m)
+
+
 def reduce_by_flag(a: AutomorphicField, flag: FlagCoords) -> ReductionResult:
     """Gauge A by tau = L^{-1}, the inverse of the flag coordinate matrix.
 
-    tau comes from forward substitution and has determinant 1.
-
-    The gauged field is B = L^{-1}(A L - L').  It is upper triangular
-    (Borel form) iff L' = A L - L V for some upper-triangular V, which
-    is unique, i.e. iff L solves the flag system; so the verdict is read
-    off the strictly-lower part of B.  For a non-solution a
-    NotASolutionWarning is emitted and B is still returned.
+    B = L^{-1}(A L - L') is upper triangular (Borel form) iff
+    L' = A L - L V for some upper-triangular V, which is unique, i.e. iff
+    L solves the flag system.  See _reduce.
     """
     if a.n != flag.n:
         raise DimensionMismatch("field and flag rank mismatch")
-    lam = flag.lam
-    tau = GroupElement._known(_unit_lower_inverse(lam), RF_ONE)
-    b = tau.sigma * (a.matrix * lam - lam.derive())
-    ok = all(b[i, j].is_zero() for i in range(b.rows) for j in range(i))
-    if not ok:
-        warnings.warn("coordinates do not solve the flag system; Borel shape not guaranteed",
-                      NotASolutionWarning, stacklevel=2)
-    return ReductionResult(tau, AutomorphicField(b), ok)
+    return _reduce(a, flag.lam, "upper_triangular")
 
 
 # ---------------------------------------------------------------------------
 # Display cross-checks.
 #
-# The generated tables are linear in the entries of A, so instantiating A at
-# elementary matrices E_pq recovers the exact symbolic coefficient of each
-# a_pq in front of each monomial.  The tables below transcribe the classical
-# printed n = 2, 3 systems; where a printed term disagrees with the generated
+# The generated tables are linear in the entries of A, so evaluating them
+# once at a symbolic A, a_pq = var (p, q) nested as the constant coefficient
+# of the unknowns' MPoly, gives the exact coefficient of each a_pq in front
+# of each monomial.  The tables below transcribe the classical printed
+# n = 2, 3 systems; where a printed term disagrees with the generated
 # (oracle-backed) one, the report lists it.
 
 
 def _symbolic_table(kind: str, n: int, m: int | None = None):
     """{unknown: {monomial: {(p, q): Gaussian coefficient}}} with symbolic A."""
-    out: dict = {}
-    for p in range(n):
-        for q in range(n):
-            e = MatK(n, n, [RF_ONE if (i, j) == (p, q) else RF_ZERO
-                            for i in range(n) for j in range(n)])
-            field = AutomorphicField(e)
-            if kind == "riccati":
-                tables = riccati_table(riccati_generate(field, m))
-            else:
-                tables = flag_table(flag_generate(field))
-            for unknown, table in tables.items():
-                dest = out.setdefault(unknown, {})
-                for mono, coeff in table.items():
-                    cval = coeff.constant_value()
-                    if not cval.is_zero():
-                        dest.setdefault(mono, {})[(p + 1, q + 1)] = cval
-    return out
+    field = AutomorphicField(MatK(n, n, [MPoly({(): MPoly.var((p, q))})
+                                         for p in range(1, n + 1) for q in range(1, n + 1)]))
+    if kind == "riccati":
+        tables = riccati_table(riccati_generate(field, m))
+    else:
+        tables = flag_table(flag_generate(field))
+    return {unknown: {mono: {key: _as_rf(c).constant_value() for (key,), c in coeff.items()}
+                      for mono, coeff in table.items()}
+            for unknown, table in tables.items()}
 
 
 # Printed ordinary/projective Riccati systems (1-based a indices).

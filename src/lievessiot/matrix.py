@@ -3,9 +3,9 @@
 MatK is a dense rectangular matrix of RatFunc entries.  Determinants and
 inverses are fraction-free: the matrix is written as numerator rows N in
 Z[i][t] over one common denominator d (an integer times the primitive
-lcm of the entry denominators), det runs Bareiss elimination on N and
-inverse runs fraction-free Gauss-Jordan on [N | I] (Bareiss, Math. Comp.
-22, 1968; Nakos, Turner and Williams, 1997).  Z[i][t] is an integral
+lcm of the entry denominators), and one fraction-free Gauss-Jordan
+elimination runs on N for det and on [N | I] for inverse (Bareiss, Math.
+Comp. 22, 1968; Nakos, Turner and Williams, 1997).  Z[i][t] is an integral
 domain and every division inside is exact there, so the eliminations
 run on Gaussian-integer coefficient lists, in Python ints, with no
 Fraction and no gcd; each result entry is brought to canonical form
@@ -134,11 +134,15 @@ class MatK:
         return all(a.is_zero() for a in self.entries)
 
     def det(self) -> RatFunc:
-        """Exact determinant: Bareiss on the numerators N, divided by d^n."""
+        """Exact determinant: det N / d^n, det N from _gauss_jordan on N."""
         if not self.is_square:
             raise DimensionMismatch("determinant of a non-square matrix")
         q = _OneDen.of(self)
-        return _entry(_bareiss_det(q.rows), _zpow(q.den, self.rows))
+        try:
+            pivot, negate = _gauss_jordan(q.rows, self.rows)
+        except Singular:
+            return RF_ZERO
+        return _entry(_zneg(pivot) if negate else pivot, _zpow(q.den, self.rows))
 
     def inverse(self) -> "MatK":
         """Exact inverse d * adj(N) / det(N) by fraction-free Gauss-Jordan; raises Singular."""
@@ -265,52 +269,23 @@ def _entry(num, den) -> RatFunc:
     return _entries((num,), den)[0]
 
 
-def _pivot_row(m, k):
-    """Index of the first row at or below k with a nonzero entry in column k, or None."""
-    return next((r for r in range(k, len(m)) if m[r][k]), None)
+def _gauss_jordan(m, n):
+    """(D, negate) for the rows m over Z[i][t], at least n columns wide,
+    brought in place to fraction-free Gauss-Jordan form over their first
+    n columns; raises Singular when those columns are dependent.
 
-
-def _bareiss_det(rows):
-    """det of a square matrix over Z[i][t] by Bareiss elimination."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    prev = _ZONE
-    negate = False
-    for k in range(n):
-        r = _pivot_row(m, k)
-        if r is None:
-            return []
-        if r != k:
-            m[k], m[r] = m[r], m[k]
-            negate = not negate
-        pivot_row = m[k]
-        pivot = pivot_row[k]
-        for i in range(k + 1, n):
-            row = m[i]
-            f = _zneg(row[k])
-            for j in range(k + 1, n):
-                row[j] = _zquo(_zdot(((pivot, row[j]), (f, pivot_row[j]))), prev)
-        prev = pivot
-    return _zneg(prev) if negate else prev
-
-
-def _fraction_free_inverse(rows):
-    """(D, R, negate) with N^{-1} = R / D and det N = -D if negate else D,
-    for a square matrix N over Z[i][t]; raises Singular.
-
-    Fraction-free Gauss-Jordan on [N | I]: at step k every row other than
-    k becomes (pivot * row - row[k] * pivot row) / previous pivot, an
-    exact division.  At the end the right half is D N^{-1} with D the
-    last pivot, which is det N up to the sign of the row swaps.  Columns
-    up to k are left as they are: no later step reads them, and only the
-    right half is returned.
+    At step k the pivot is the first row at or below k with a nonzero
+    entry in column k, which is deterministic, and every other row
+    becomes (pivot * row - row[k] * pivot row) / previous pivot, an exact
+    division.  The last pivot D is then the determinant of the first n
+    columns up to the sign of the row swaps (-D if negate else D), and
+    on [N | I] the right half is D N^{-1}.  Columns up to k are left as
+    they are: no later step reads them.
     """
-    n = len(rows)
-    m = [list(r) + [_ZONE if i == j else [] for j in range(n)] for i, r in enumerate(rows)]
     prev = _ZONE
     negate = False
     for k in range(n):
-        r = _pivot_row(m, k)
+        r = next((r for r in range(k, n) if m[r][k]), None)
         if r is None:
             raise Singular("matrix is singular over K")
         if r != k:
@@ -323,10 +298,10 @@ def _fraction_free_inverse(rows):
                 continue
             row = m[i]
             f = _zneg(row[k])
-            for j in range(k + 1, 2 * n):
+            for j in range(k + 1, len(pivot_row)):
                 row[j] = _zquo(_zdot(((pivot, row[j]), (f, pivot_row[j]))), prev)
         prev = pivot
-    return prev, [row[n:] for row in m], negate
+    return prev, negate
 
 
 class _OneDen:
@@ -396,9 +371,12 @@ class _OneDen:
                        _zmul(d, d))
 
     def inverse(self):
-        """(d R / D, det N) for this N / d, by fraction-free Gauss-Jordan; raises Singular."""
-        pivot, right, negate = _fraction_free_inverse(self.rows)
-        return (_OneDen([[_zmul(self.den, a) for a in r] for r in right], pivot),
+        """(d R / D, det N) for this N / d, with N^{-1} = R / D the right half
+        of _gauss_jordan on [N | I]; raises Singular."""
+        n = len(self.rows)
+        m = [list(r) + [_ZONE if i == j else [] for j in range(n)] for i, r in enumerate(self.rows)]
+        pivot, negate = _gauss_jordan(m, n)
+        return (_OneDen([[_zmul(self.den, a) for a in r[n:]] for r in m], pivot),
                 _zneg(pivot) if negate else pivot)
 
     def to_matk(self) -> MatK:

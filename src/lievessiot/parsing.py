@@ -27,8 +27,6 @@ product of powers therefore still grows with the input length.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import (DivisionByZero, DivisionByZeroFunction, ExprSyntaxError, LimitExceeded,
                      RaggedRows)
 from .matrix import MatK
@@ -259,26 +257,22 @@ def parse_matrix(src: str) -> MatK:
 # -- canonical printing ------------------------------------------------------
 
 
-def _format_fraction(f: Fraction) -> str:
-    return str(f)
-
-
 def format_gaussian(g: GaussianRational) -> str:
     re, im = g.re, g.im
     if im == 0:
-        return _format_fraction(re)
+        return str(re)
     if im == 1:
         im_str = "i"
     elif im == -1:
         im_str = "-i"
     else:
-        im_str = f"{_format_fraction(im)}*i"
+        im_str = f"{im}*i"
     if re == 0:
         return im_str
     if im < 0:
-        mag = "i" if im == -1 else f"{_format_fraction(-im)}*i"
-        return f"{_format_fraction(re)} - {mag}"
-    return f"{_format_fraction(re)} + {im_str}"
+        mag = "i" if im == -1 else f"{-im}*i"
+        return f"{re} - {mag}"
+    return f"{re} + {im_str}"
 
 
 def _term_pieces(c: GaussianRational, k: int):
@@ -288,14 +282,14 @@ def _term_pieces(c: GaussianRational, k: int):
         neg = c.re < 0
         mag = abs(c.re)
         if mono is None:
-            return neg, _format_fraction(mag)
+            return neg, str(mag)
         if mag == 1:
             return neg, mono
-        return neg, f"{_format_fraction(mag)}*{mono}"
+        return neg, f"{mag}*{mono}"
     if c.re == 0:
         neg = c.im < 0
         mag = abs(c.im)
-        coeff = "i" if mag == 1 else f"{_format_fraction(mag)}*i"
+        coeff = "i" if mag == 1 else f"{mag}*i"
         if mono is None:
             return neg, coeff
         return neg, f"{coeff}*{mono}"
@@ -322,14 +316,6 @@ def format_poly(p: Poly) -> str:
     return " ".join(parts)
 
 
-def _poly_is_single_term(p: Poly) -> bool:
-    nonzero = [c for c in p.coeffs if not c.is_zero()]
-    if len(nonzero) != 1:
-        return False
-    # a mixed complex coefficient already prints parenthesized
-    return True
-
-
 def format_ratfunc(r: RatFunc) -> str:
     if r.is_constant():
         return format_gaussian(r.constant_value())
@@ -337,9 +323,11 @@ def format_ratfunc(r: RatFunc) -> str:
     if r.den.degree == 0:
         return num
     den = format_poly(r.den)
-    if not _poly_is_single_term(r.num):
+    # a single term needs no parentheses; a mixed complex coefficient
+    # already prints parenthesized
+    if sum(not c.is_zero() for c in r.num.coeffs) != 1:
         num = f"({num})"
-    if not _poly_is_single_term(r.den):
+    if sum(not c.is_zero() for c in r.den.coeffs) != 1:
         den = f"({den})"
     return f"{num}/{den}"
 

@@ -1,8 +1,11 @@
 """Shared helpers for the test suite: seeded random generators for exact
-scalars, polynomials, rational functions, matrices and sphere points."""
+scalars, polynomials, rational functions, matrices and sphere points, and
+the environment of a subprocess that imports lievessiot."""
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from lievessiot.matrix import MatK
 from lievessiot.ratfunc import Poly, RatFunc
@@ -68,3 +71,11 @@ def rand_sphere_point(rng: random.Random):
                         (u * u + v * v - 1) / d)
         if (GaussianRational(1) - p.x2) and (p.x0 - GaussianRational(0, 1) * p.x1):
             return p
+
+
+def src_env() -> dict:
+    """os.environ with the repository's src directory first on PYTHONPATH,
+    so a subprocess imports lievessiot from a bare checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}

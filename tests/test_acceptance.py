@@ -32,7 +32,7 @@ from lievessiot.ratfunc import (RatFunc, RF_ONE, RF_T,
 from lievessiot.scalars import GaussianRational, gq
 
 from support import (rand_fraction, rand_fundamental, rand_invertible,
-                     rand_poly, rand_ratfunc, rand_sphere_point)
+                     rand_poly, rand_ratfunc, rand_sphere_point, src_env)
 
 
 def _report(num, description, ok):
@@ -369,8 +369,9 @@ def test_criterion_11_parser_and_records():
         ok &= parse_ratfunc(format_ratfunc(f)) == f
     argv = [sys.executable, "-m", "lievessiot.cli", "riccati",
             "--A", "[t, 1 + i; 2, -t]", "--m", "1", "--format", "record"]
-    first = subprocess.run(argv, capture_output=True)
-    second = subprocess.run(argv, capture_output=True)
+    env = src_env()
+    first = subprocess.run(argv, capture_output=True, env=env)
+    second = subprocess.run(argv, capture_output=True, env=env)
     ok &= first.returncode == 0 and first.stdout == second.stdout
     doc = json.loads(first.stdout)
     ok &= doc["format_version"] == 1

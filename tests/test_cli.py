@@ -1,14 +1,14 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lievessiot.cli import main
+
+from support import src_env
 
 
 def run_cli(capsys, *argv):
@@ -196,11 +196,8 @@ def test_malformed_input_exit1(capsys, tmp_path, argv, code):
     argv = [arg.replace("{deep}", str(deep)) for arg in argv]
     if any("^" in arg for arg in argv):
         # an unbounded exponent hangs: run it where a timeout can stop it
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        env = {**os.environ, "PYTHONPATH": path}
         proc = subprocess.run([sys.executable, "-m", "lievessiot.cli", *argv],
-                              capture_output=True, text=True, timeout=30, env=env)
+                              capture_output=True, text=True, timeout=30, env=src_env())
         exit_code, out, err = proc.returncode, proc.stdout, proc.stderr
     else:
         exit_code, out, err = run_cli(capsys, *argv)
@@ -279,7 +276,8 @@ def test_input_file(tmp_path, capsys):
 def test_record_byte_deterministic_subprocess():
     argv = [sys.executable, "-m", "lievessiot.cli", "flag",
             "--A", "[0, 1, 0; 0, 0, 1; t, 0, 0]", "--format", "record"]
-    first = subprocess.run(argv, capture_output=True)
-    second = subprocess.run(argv, capture_output=True)
+    env = src_env()
+    first = subprocess.run(argv, capture_output=True, env=env)
+    second = subprocess.run(argv, capture_output=True, env=env)
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout

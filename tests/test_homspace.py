@@ -271,3 +271,94 @@ def test_reduce_by_flag_matches_gauge_reference():
                 assert result.field == gauge_transform(result.tau, a)
                 assert result.is_solution is flag_check_solution(
                     flag_generate(a), flag) is expected
+
+
+def _lower_right(mat, k):
+    return MatK(mat.rows - k, mat.cols - k,
+                [mat[i, j] for i in range(k, mat.rows) for j in range(k, mat.cols)])
+
+
+def _embed(block, n):
+    """diag(I, block) in gl(n)."""
+    k = n - block.rows
+    return MatK(n, n, [block[i - k, j - k] if i >= k and j >= k else RF_ONE if i == j else RF_ZERO
+                       for i in range(n) for j in range(n)])
+
+
+def _lie_kolchin_steps(a, sigma):
+    """Borel reduction of A along n - 1 plane steps with m = 1.
+
+    Step k reduces the lower-right (n - k)-block of the field at the chart
+    of the first column of the same block of gauge * sigma, a fundamental
+    matrix of that block.  Returns the product of the block-embedded step
+    gauges, the whole gauged field and each step's verdict.  The field is
+    assembled from the gauge action of g = diag(I, tau_k), whose inverse
+    is the step's chart point: rows above k are those of F g^{-1}, the
+    lower-left block is that of g F, and the lower-right block is the
+    step's field.
+    """
+    n = a.n
+    gauge, field, verdicts = MatK.identity(n), a.matrix, []
+    for k in range(n - 1):
+        r = n - k
+        plane = plucker_coords(_first_cols(_lower_right(gauge * sigma, k), 1), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NotASolutionWarning)
+            step = reduce_by_plane(AutomorphicField(_lower_right(field, k)), plane)
+        verdicts.append(step.is_solution)
+        g = _embed(step.tau.sigma, n)
+        g_inv = _embed(MatK.block_join(MatK.identity(1), MatK.zero(1, r - 1),
+                                       plane.Lambda, MatK.identity(r - 1)), n)
+        right, left, b = field * g_inv, g * field, step.field.matrix
+        field = MatK(n, n, [right[i, j] if i < k else left[i, j] if j < k else b[i - k, j - k]
+                            for i in range(n) for j in range(n)])
+        gauge = g * gauge
+    return gauge, field, verdicts
+
+
+def test_stepwise_lie_kolchin_matches_reduce_by_flag():
+    # the criterion-3 generator; all principal minors of sigma are nonzero,
+    # so every step's chart (a Schur complement's corner) is defined
+    rng = random.Random(51)
+    for n, count in ((2, 4), (3, 3), (4, 1)):
+        for _ in range(count):
+            sigma = rand_fundamental(rng, n, max_deg=3, span=2)
+            a = AutomorphicField(log_deriv(GroupElement(sigma)).matrix)
+            gauge, field, verdicts = _lie_kolchin_steps(a, sigma)
+            assert verdicts == [True] * (n - 1)
+            flag = reduce_by_flag(a, flag_coords(GroupElement(sigma)))
+            assert gauge == flag.tau.sigma
+            assert field == flag.field.matrix
+            # column n - 2 enters only the last step's chart
+            _, _, verdicts = _lie_kolchin_steps(a, _bumped(sigma, n - 1, n - 2))
+            assert verdicts == [True] * (n - 2) + [False]
+
+
+def test_reductions_run_no_elimination(monkeypatch):
+    import lievessiot.matrix as matrix_module
+
+    rng = random.Random(52)
+    cases = []
+    for n in (2, 3):
+        sigma = rand_fundamental(rng, n, max_deg=2)
+        a = AutomorphicField(log_deriv(GroupElement(sigma)).matrix)
+        plane = plucker_coords(_first_cols(sigma, 1), 1)
+        flag = flag_coords(GroupElement(sigma))
+        cases += [(reduce_by_plane, a, plane, True),
+                  (reduce_by_plane, a, PlaneCoords(n, 1, _bumped(plane.Lambda, 0, 0)), False),
+                  (reduce_by_flag, a, flag, True),
+                  (reduce_by_flag, a, FlagCoords(_bumped(flag.lam, 1, 0)), False)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a reduction ran an elimination")
+
+    monkeypatch.setattr(MatK, "inverse", refuse)
+    monkeypatch.setattr(MatK, "det", refuse)
+    monkeypatch.setattr(matrix_module, "_gauss_jordan", refuse)
+    for reduce, a, coords, expected in cases:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = reduce(a, coords)
+        assert result.is_solution is expected
+        assert [(w.category, w.filename) for w in caught] == (
+            [] if expected else [(NotASolutionWarning, __file__)])

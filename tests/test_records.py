@@ -1,13 +1,13 @@
 import dataclasses
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from lievessiot.elliptic import PendulumAudit, TangencyReport
 from lievessiot.homspace import ReductionResult
+
+from support import src_env
 
 
 @pytest.mark.parametrize("cls", [ReductionResult, TangencyReport, PendulumAudit])
@@ -32,11 +32,8 @@ def test_record_behaves_like_a_frozen_dataclass(cls):
 
 
 def test_import_leaves_out_dataclasses_and_inspect():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = ("import sys, lievessiot, lievessiot.cli; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=60, env=env)
+                          timeout=60, env=src_env())
     assert proc.returncode == 0 and proc.stdout == "[]\n"
