@@ -21,8 +21,15 @@ open at once, and the '^' exponents on a chain of nested powers may
 multiply to at most 100, so ((t + 1)^10)^10 is allowed and
 ((t + 1)^100)^2 is not ((t + 1)^100 takes about a tenth of a second).
 Input beyond either bound raises LimitExceeded.  Chains of '+ -' or
-'* /' are evaluated in a loop, so their length is not bounded; a sum or
-product of powers therefore still grows with the input length.
+'* /' are evaluated in a loop, so their length is not bounded.
+
+A third bound holds while evaluating: before each '+ - * /' and '^',
+an upper bound on deg num + deg den of the result is computed from the
+operands' degrees (k (deg num + deg den) for '^k'), and above 400 the
+input raises LimitExceeded before the operation runs.  So
+(t + 1/(t - 1))^100, of degree 300, is allowed, and a sum or product of
+a few such powers is not; nor does a printed value above that degree
+parse back.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .scalars import GaussianRational
 _SYMBOLS = "+-*/^()[],;"
 _MAX_NESTING = 64  # parentheses and unary minus signs open at once
 _MAX_EXPONENT = 100  # product of the exponents on a chain of nested powers
+_MAX_DEGREE = 400  # deg num + deg den of every intermediate result
 
 
 def tokenize(src: str):
@@ -202,7 +210,9 @@ def eval_expr(node) -> RatFunc:
     if tag == "neg":
         return -eval_expr(node[1])
     if tag == "pow":
-        return eval_expr(node[1]) ** node[2]
+        base = eval_expr(node[1])
+        _check_degree(node[2] * (max(base.num.degree, 0) + base.den.degree))
+        return base ** node[2]
     if tag == "bin":
         # a chain a op b op c ... is left-nested; walk its spine in a loop
         chain = []
@@ -216,7 +226,16 @@ def eval_expr(node) -> RatFunc:
     raise ValueError(f"bad expression node {node!r}")
 
 
+def _check_degree(bound: int):
+    if bound > _MAX_DEGREE:
+        raise LimitExceeded(f"an intermediate result of degree up to {bound}, "
+                            f"more than {_MAX_DEGREE}")
+
+
 def _apply(op, lhs: RatFunc, rhs: RatFunc) -> RatFunc:
+    an, ad = max(lhs.num.degree, 0), lhs.den.degree
+    bn, bd = max(rhs.num.degree, 0), rhs.den.degree
+    _check_degree(max(an + bd, bn + ad) + ad + bd if op in "+-" else an + ad + bn + bd)
     if op == "+":
         return lhs + rhs
     if op == "-":

@@ -114,12 +114,12 @@ class Poly:
         return Poly([c / lead for c in self.coeffs])
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic gcd via a primitive remainder sequence over Z[i][t].
+        """Monic gcd, by Brown's modular gcd over Z[i][t] (_zgcd).
 
-        Clearing denominators and dividing out Gaussian-integer contents
-        at every step keeps the intermediate coefficients small; the
-        naive monic Euclidean algorithm over Q(i) blows up badly on the
-        operand sizes produced by the matrix layer.
+        Denominators are cleared and the gcd runs modulo primes, where
+        coefficients stay below 2**30; the naive monic Euclidean
+        algorithm over Q(i) blows up badly on the operand sizes produced
+        by the matrix layer.
         """
         if self.is_zero():
             return other.monic()
@@ -152,7 +152,9 @@ class Poly:
 # -- polynomials over the Gaussian integers ---------------------------------
 # Gaussian integers are (re, im) pairs of ints; a polynomial in Z[i][t] is
 # a dense lowest-first list of them without trailing zeros ([] is zero).
-# The gcd and the fraction-free matrix kernels run on these, in ints only.
+# The fraction-free matrix kernels run on these, in ints only, and so does
+# the gcd: Brown's modular gcd, whose images mod primes are lists of ints
+# below 2**30, highest coefficient first.
 
 _ZONE = [(1, 0)]
 
@@ -215,32 +217,166 @@ def _primitive(coeffs):
     return [_gi_divexact(c, g) for c in coeffs]
 
 
-def _pseudo_rem(a, b):
-    """Pseudo-remainder of the integer-coefficient lists a by b."""
-    lb = b[-1]
-    db = len(b) - 1
-    r = list(a)
-    while len(r) - 1 >= db:
-        c = r[-1]
-        k = len(r) - 1 - db
-        r = [_gi_mul(lb, x) for x in r[:-1]]
-        for j in range(db):
-            r[k + j] = _gi_sub(r[k + j], _gi_mul(c, b[j]))
-        while r and r[-1] == (0, 0):
-            r.pop()
-    return r
+# -- Brown's modular gcd ---------------------------------------------------
+# A prime p = 1 (mod 4) splits in Z[i] as P P' with P = (p, i - r) and
+# P' = (p, i + r), where r^2 = -1 (mod p); reduction mod P sends x + iy to
+# x + ry mod p.  Below 2**30 every residue is a one-digit Python int.
+
+_PRIMES = {}  # k -> _prime(k), filled as needed
+
+
+def _is_prime(n):
+    # Miller-Rabin to the bases 2, 3, 5 and 7, exact below 3.2e9
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for w in (2, 3, 5, 7):
+        x = pow(w, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime(k):
+    """(p, r): the k-th largest prime p = 1 (mod 4) below 2**30 (from k = 0)
+    and a root r of -1 mod p.  Callers ask for k = 0, 1, 2, ... in turn."""
+    if k not in _PRIMES:
+        p = _prime(k - 1)[0] - 4 if k else 2**30 - 3
+        while not _is_prime(p):
+            p -= 4
+        w = 2
+        while pow(w, (p - 1) // 2, p) != p - 1:  # a quadratic non-residue
+            w += 1
+        _PRIMES[k] = (p, pow(w, (p - 1) // 4, p))
+    return _PRIMES[k]
+
+
+def _image(a, p, s):
+    """a in Z[i][t] mod (p, i - s): a list mod p, highest coefficient first, no leading zeros."""
+    out = [(x + s * y) % p for x, y in reversed(a)]
+    k = 0
+    while k < len(out) and not out[k]:
+        k += 1
+    return out[k:] if k else out
+
+
+def _pgcd(a, b, p):
+    """The monic gcd in F_p[t] of a and b (highest coefficient first), not both zero."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        if len(b) == 1:
+            return [1]
+        w = p - pow(b[0], -1, p)
+        n = len(b)
+        tail = b[1:]
+        while len(a) >= n:
+            c = a[0] * w % p
+            a = [(x + c * y) % p for x, y in zip(a[1:n], tail)] + a[n:]
+            k = 0
+            while k < len(a) and not a[k]:
+                k += 1
+            if k:
+                a = a[k:]
+        a, b = b, a
+    w = pow(a[0], -1, p)
+    return [c * w % p for c in a]
+
+
+def _image_gcd(a, b, p, s):
+    """The monic gcd of a and b mod (p, i - s), or None when both leading
+    coefficients vanish there."""
+    ai, bi = _image(a, p, s), _image(b, p, s)
+    if len(ai) < len(a) and len(bi) < len(b):
+        return None
+    return _pgcd(ai, bi, p)
+
+
+def _int_primitive(a):
+    # a over the gcd of its integer coordinates: a cheap part of its content
+    n = math.gcd(*(x for c in a for x in c))
+    return a if n == 1 else [(x // n, y // n) for x, y in a]
+
+
+def _sym(x, p):
+    # the residue x mod p in (-p/2, p/2]
+    return x - p if x > p >> 1 else x
 
 
 def _zgcd(a, b):
-    """The primitive gcd of nonzero a and b, up to a unit; it divides both in Z[i][t]."""
-    a, b = _primitive(a), _primitive(b)
+    """The primitive gcd h of nonzero a and b, up to a unit; it divides both in Z[i][t].
+
+    Brown's modular gcd (J. ACM 18(4), 1971) over primes p = 1 (mod 4).
+    Either operand constant: h is a unit.
+
+    The first prime is a certificate of coprimality.  Map a and b to
+    F_p[t] through P = (p, i - r).  If a or b keeps its degree mod P and
+    gcd(a mod P, b mod P) is constant, h is a unit, exactly: lc(h)
+    divides lc(a) and lc(b), so h mod P keeps its degree; h mod P divides
+    both images; so a nonconstant h would force a nonconstant gcd mod P.
+    The same holds at every later prime and at P' = (p, i + r).
+
+    Otherwise, once each operand is divided by the gcd of its integer
+    coordinates: if the gcd mod P has the smaller operand's degree, h is
+    that operand's primitive part when it divides the other.  Else the
+    images of gamma h / lc(h), gamma = gcd(lc a, lc b), under i -> r and
+    i -> -r are gamma times the monic gcds mod P and mod P' at every
+    prime where they have the least degree seen; a prime of higher degree
+    is unlucky and is skipped.  The two images u, v of a coefficient
+    x + iy give x = (u + v) / 2 and y = (u - v) / (2r) mod p, and CRT
+    combines the primes.  The candidate's primitive part is h once it
+    divides a and b: it then divides h, and no image has a degree below
+    deg h.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return _ZONE
     if len(a) < len(b):
         a, b = b, a
+    gamma = acc = m = None
+    k = 0
     while True:
-        r = _pseudo_rem(a, b)
-        if not r:
-            return b
-        a, b = b, _primitive(r)
+        p, r = _prime(k)
+        k += 1
+        u = _image_gcd(a, b, p, r)
+        if u is None:
+            continue
+        if len(u) == 1:
+            return _ZONE
+        if gamma is None:
+            # gamma of the new operands divides the old one, so P does not divide it
+            a, b = _int_primitive(a), _int_primitive(b)
+            gamma = _gi_gcd(a[-1], b[-1])
+            if len(u) == len(b):
+                h = _primitive(b)
+                if _zquo(a, h) is not None:
+                    return h
+        v = _image_gcd(a, b, p, p - r)
+        if v is None:
+            continue
+        if len(v) == 1:
+            return _ZONE
+        if len(u) != len(v) or (acc is not None and len(u) > len(acc)):
+            continue
+        gu = (gamma[0] + r * gamma[1]) % p
+        gv = (gamma[0] - r * gamma[1]) % p
+        half, inv = (p + 1) // 2, pow(2 * r, -1, p)
+        mod_p = [((x * gu + y * gv) * half % p, (x * gu - y * gv) * inv % p) for x, y in zip(u, v)]
+        if acc is None or len(u) < len(acc):
+            acc, m = [(_sym(x, p), _sym(y, p)) for x, y in mod_p], p
+        else:
+            w = pow(m, -1, p)
+            acc = [(X + m * _sym((x - X) * w % p, p), Y + m * _sym((y - Y) * w % p, p))
+                   for (x, y), (X, Y) in zip(mod_p, acc)]
+            m *= p
+        h = _primitive(acc[::-1])
+        if _zquo(a, h) is not None and _zquo(b, h) is not None:
+            return h
 
 
 def _strip(re, im):
@@ -293,8 +429,8 @@ def _zderiv(a):
 
 
 def _zquo(a, b):
-    """a / b for a b that divides a in Z[i][t]: long division, each
-    coefficient divided by b's leading one as c * conj(lead) / norm(lead)."""
+    """a / b in Z[i][t], or None when b does not divide a: long division,
+    each coefficient divided by b's leading one as c * conj(lead) / norm(lead)."""
     if b == _ZONE:
         return a
     br, bi = b[-1]
@@ -305,12 +441,17 @@ def _zquo(a, b):
     q = [None] * (len(a) - db)
     for k in range(len(a) - 1 - db, -1, -1):
         cr, ci = re[k + db], im[k + db]
-        qr, qi = (cr * br + ci * bi) // n, (ci * br - cr * bi) // n
+        qr, xr = divmod(cr * br + ci * bi, n)
+        qi, xi = divmod(ci * br - cr * bi, n)
+        if xr or xi:
+            return None
         q[k] = (qr, qi)
         for j in range(db):
             xr, xi = b[j]
             re[k + j] -= qr * xr - qi * xi
             im[k + j] -= qr * xi + qi * xr
+    if any(re[:db]) or any(im[:db]):
+        return None
     return q
 
 

@@ -189,6 +189,8 @@ def test_check_missing_argument_exit1(capsys, argv, missing):
     (["check", "--kind", "integral", "--a", "(((t^100)^100)^100)^100", "--b", "t"],
      "LimitExceeded"),
     (["check", "--kind", "integral", "--a", "((t+1)^100)^100", "--b", "t"], "LimitExceeded"),
+    (["check", "--kind", "integral", "--a", "(t + 1/(t - 1))^100 * (t + 1/(t - 2))^100",
+      "--b", "t"], "LimitExceeded"),
 ])
 def test_malformed_input_exit1(capsys, tmp_path, argv, code):
     deep = tmp_path / "deep.txt"

@@ -55,10 +55,14 @@ def test_nesting_and_exponent_bounds():
     assert parse_ratfunc("(((t + 1)^5 - t)^2 * t^3)^10") == \
         (((RF_T + RF_ONE) ** 5 - RF_T) ** 2 * RF_T ** 3) ** 10
     assert parse_ratfunc("(t^100) * (t^100)") == RF_T ** 200
+    # deg num + deg den of every intermediate result is bounded by 400
+    base = RF_T + RF_ONE / (RF_T - RF_ONE)
+    assert parse_ratfunc("(t + 1/(t - 1))^100") == base ** 100
     for src in ("(" * 65 + "t" + ")" * 65, "-" * 65 + "t", "-(" * 33 + "t" + ")" * 33,
                 "t^101", "[1, (t + 1)^101]", "(t^100)^2", "((t + 1)^100)^100",
                 "(((t^100)^100)^100)^100", "((2^10)^10)^2", "((t^10 + 1) * t)^11",
-                "(-t^51)^2", "[t, ((t)^10)^11]"):
+                "(-t^51)^2", "[t, ((t)^10)^11]",
+                "(t + 1/(t - 1))^100 * (t + 1/(t - 2))^100"):
         with pytest.raises(LimitExceeded):
             (parse_matrix if src.startswith("[") else parse_ratfunc)(src)
 

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lievessiot.errors import DivisionByZero, PoleAtPoint
+import lievessiot.ratfunc as ratfunc
 from lievessiot.ratfunc import (Poly, RatFunc, RF_ONE, RF_T, RF_ZERO, _content,
-                                _primitive, _zderiv, _zdot, _zgcd, _zmul, _zquo,
+                                _prime, _primitive, _zderiv, _zdot, _zgcd, _zmul, _zquo,
                                 check_exponential_solution,
                                 check_integral_solution)
 from lievessiot.scalars import GaussianRational, gq
@@ -186,8 +187,28 @@ def test_zi_ring_operations_match_sympy(a, b, c):
     assert _sym(_zquo(_zmul(a, c), c)) == (_sym(a) * _sym(c)).exquo(_sym(c)) == _sym(a)
 
 
+# the first prime of the modular gcd and its root of -1; P = (p, i - r)
+_P, _ROOT = _prime(0)
+_T = [(0, 0), (1, 0)]
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_nonzero, _nonzero, _nonzero)
+# unlucky primes: coprime over Q(i), but t + p = t mod P and P', t + r - i = t mod P
+@example(_T, [(_P, 0), (1, 0)], [(1, 0)])
+@example(_T, [(_P, 0), (1, 0)], [(1, 0), (1, 0)])
+@example(_T, [(_ROOT, -1), (1, 0)], [(1, 0)])
+@example(_T, [(_ROOT, -1), (1, 0)], [(1, 0), (1, 0)])
+# leading coefficients divisible by p, and an operand that vanishes mod P
+@example([(1, 0), (_P, 0)], [(3, 0), (_P, 0)], [(2, 0), (1, 0)])
+@example([(_ROOT, -1), (_ROOT, -1)], [(-1, 0), (1, 0)], [(2, 1), (1, 0)])
+@example([(_P, 0), (_P, 0)], [(-1, 0), (1, 0)], [(2, 1), (1, 0)])
+# a common factor of degree 2 with non-unit Gaussian content, in operands with
+# non-unit contents; and a constant operand
+@example([(2, 1), (4, 2)], [(6, 0), (0, 0), (3, 0)], [(5, 5), (1, 1), (3, 3)])
+@example([(4, 2)], [(1, 0), (1, 0)], [(1, 0)])
+# a gcd whose coefficients need more than one prime
+@example([(1, 0), (1, 0)], [(-1, 0), (1, 0)], [(2**40 + 3, 5**20), (7, 0), (1, 0)])
 def test_zi_gcd_and_content_match_sympy(a, b, c):
     f, g = _zmul(a, c), _zmul(b, c)
     ours = _zgcd(f, g)
@@ -196,3 +217,12 @@ def test_zi_gcd_and_content_match_sympy(a, b, c):
     content, primitive = _sym(f).primitive()
     assert _up_to_unit(sympy.ZZ_I(*_content(f)), content)
     assert _up_to_unit(_sym(_primitive(f)), primitive)
+
+
+def test_zi_gcd_certifies_coprime_without_gaussian_gcds(monkeypatch):
+    # the first prime proves (2 + i)(t + 1) and 3(t - 1) coprime: no content is taken
+    def refuse(x, y):
+        raise AssertionError("a Gaussian gcd on a coprime pair")
+
+    monkeypatch.setattr(ratfunc, "_gi_gcd", refuse)
+    assert _zgcd([(2, 1), (2, 1)], [(-3, 0), (3, 0)]) == [(1, 0)]
