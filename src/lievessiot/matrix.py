@@ -251,10 +251,9 @@ def _entries(nums, den):
             out.append(RF_ZERO)
             continue
         d = den
-        if len(num) > 1 and len(den) > 1:
-            g = _zgcd(num, den)
-            if len(g) > 1:
-                num, d = _zquo(num, g), _zquo(den, g)
+        g = _zgcd(num, den)
+        if len(g) > 1:
+            num, d = _zquo(num, g), _zquo(den, g)
         if d is den:
             if whole is None:
                 whole = _from_zi(den, lead)

@@ -24,12 +24,14 @@ Input beyond either bound raises LimitExceeded.  Chains of '+ -' or
 '* /' are evaluated in a loop, so their length is not bounded.
 
 A third bound holds while evaluating: before each '+ - * /' and '^',
-an upper bound on deg num + deg den of the result is computed from the
-operands' degrees (k (deg num + deg den) for '^k'), and above 400 the
-input raises LimitExceeded before the operation runs.  So
-(t + 1/(t - 1))^100, of degree 300, is allowed, and a sum or product of
-a few such powers is not; nor does a printed value above that degree
-parse back.
+an upper bound on deg num + deg den of the result, and of every
+intermediate result of the operation, is computed from the operands'
+degrees (k (deg num + deg den) for '^k'; max(deg num) + deg den for a
+sum or difference over one shared denominator), and above 400 the input
+raises LimitExceeded before the operation runs.  So (t + 1/(t - 1))^100,
+of degree 300, and its sum with itself are allowed, and a product of two
+such powers, or their sum over different denominators, is not; nor does
+a printed value above that degree parse back.
 """
 
 from __future__ import annotations
@@ -235,7 +237,12 @@ def _check_degree(bound: int):
 def _apply(op, lhs: RatFunc, rhs: RatFunc) -> RatFunc:
     an, ad = max(lhs.num.degree, 0), lhs.den.degree
     bn, bd = max(rhs.num.degree, 0), rhs.den.degree
-    _check_degree(max(an + bd, bn + ad) + ad + bd if op in "+-" else an + ad + bn + bd)
+    if op not in "+-":
+        _check_degree(an + ad + bn + bd)
+    elif lhs.den == rhs.den:
+        _check_degree(max(an, bn) + ad)
+    else:
+        _check_degree(max(an + bd, bn + ad) + ad + bd)
     if op == "+":
         return lhs + rhs
     if op == "-":

@@ -298,12 +298,6 @@ def _image_gcd(a, b, p, s):
     return _pgcd(ai, bi, p)
 
 
-def _int_primitive(a):
-    # a over the gcd of its integer coordinates: a cheap part of its content
-    n = math.gcd(*(x for c in a for x in c))
-    return a if n == 1 else [(x // n, y // n) for x, y in a]
-
-
 def _sym(x, p):
     # the residue x mod p in (-p/2, p/2]
     return x - p if x > p >> 1 else x
@@ -322,13 +316,10 @@ def _zgcd(a, b):
     both images; so a nonconstant h would force a nonconstant gcd mod P.
     The same holds at every later prime and at P' = (p, i + r).
 
-    Otherwise, once each operand is divided by the gcd of its integer
-    coordinates: if the gcd mod P has the smaller operand's degree, h is
-    that operand's primitive part when it divides the other.  Else the
-    images of gamma h / lc(h), gamma = gcd(lc a, lc b), under i -> r and
-    i -> -r are gamma times the monic gcds mod P and mod P' at every
-    prime where they have the least degree seen; a prime of higher degree
-    is unlucky and is skipped.  The two images u, v of a coefficient
+    Otherwise the images of gamma h / lc(h), gamma = gcd(lc a, lc b),
+    under i -> r and i -> -r are gamma times the monic gcds mod P and
+    mod P' at every prime where they have the least degree seen; a prime
+    of higher degree is unlucky and is skipped.  The two images u, v of a coefficient
     x + iy give x = (u + v) / 2 and y = (u - v) / (2r) mod p, and CRT
     combines the primes.  The candidate's primitive part is h once it
     divides a and b: it then divides h, and no image has a degree below
@@ -336,8 +327,6 @@ def _zgcd(a, b):
     """
     if len(a) == 1 or len(b) == 1:
         return _ZONE
-    if len(a) < len(b):
-        a, b = b, a
     gamma = acc = m = None
     k = 0
     while True:
@@ -349,13 +338,7 @@ def _zgcd(a, b):
         if len(u) == 1:
             return _ZONE
         if gamma is None:
-            # gamma of the new operands divides the old one, so P does not divide it
-            a, b = _int_primitive(a), _int_primitive(b)
             gamma = _gi_gcd(a[-1], b[-1])
-            if len(u) == len(b):
-                h = _primitive(b)
-                if _zquo(a, h) is not None:
-                    return h
         v = _image_gcd(a, b, p, p - r)
         if v is None:
             continue
@@ -644,8 +627,9 @@ class RatFunc:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def derive(self) -> "RatFunc":

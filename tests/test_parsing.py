@@ -58,11 +58,15 @@ def test_nesting_and_exponent_bounds():
     # deg num + deg den of every intermediate result is bounded by 400
     base = RF_T + RF_ONE / (RF_T - RF_ONE)
     assert parse_ratfunc("(t + 1/(t - 1))^100") == base ** 100
+    # over one shared denominator a sum keeps the operands' degree
+    assert parse_ratfunc("(t + 1/(t - 1))^100 + (t + 1/(t - 1))^100") == 2 * base ** 100
+    assert parse_ratfunc("(t + 1/(t - 1))^100 - (t + 1/(t - 1))^100") == RatFunc.const(0)
     for src in ("(" * 65 + "t" + ")" * 65, "-" * 65 + "t", "-(" * 33 + "t" + ")" * 33,
                 "t^101", "[1, (t + 1)^101]", "(t^100)^2", "((t + 1)^100)^100",
                 "(((t^100)^100)^100)^100", "((2^10)^10)^2", "((t^10 + 1) * t)^11",
                 "(-t^51)^2", "[t, ((t)^10)^11]",
-                "(t + 1/(t - 1))^100 * (t + 1/(t - 2))^100"):
+                "(t + 1/(t - 1))^100 * (t + 1/(t - 2))^100",
+                "(t + 1/(t - 1))^100 + (t + 1/(t - 2))^100"):
         with pytest.raises(LimitExceeded):
             (parse_matrix if src.startswith("[") else parse_ratfunc)(src)
 
