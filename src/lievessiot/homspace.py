@@ -7,15 +7,15 @@ spanning n x m matrix) satisfy the matrix Riccati equation
 
 and the strictly-lower flag coordinates (the unit-lower factor of the
 LU decomposition of a fundamental matrix) satisfy the polynomial flag
-equation (cubic for n <= 3; see flag_rhs).  A rational solution on the
-grassmanian (resp. the flag variety) yields a gauge transformation taking
-the automorphic field to block-upper (resp. upper-triangular) form, the
-Lie algebra of the stabilizer of the base point.  Both are one Lie-Kolchin
-reduction (_reduce): with g the unit-lower chart point of the coordinates,
-g = [[I, 0], [Lambda, I]] for m-planes and g = L for flags, the gauge is
-tau = g^{-1} by forward substitution and the gauged field is
-B = g^{-1}(A g - g'), computed once; the coordinates solve their system
-iff B lies in that subalgebra, so the verdict is is_in_subalgebra(B).
+equation (cubic for n <= 3; see flag_rhs).  Both are x' = A x projected
+to G/H, H the stabilizer of the base point (Carinena, Grabowski and
+Marmo, Lie-Scheffers Systems, 2000), and one split serves both.  At the
+unit-lower chart point g, [[I, 0], [Lambda, I]] for m-planes and L for
+flags, A g = W + g V with V in h = Lie(H), block upper resp. upper
+triangular, and W zero on h (_sweep).  riccati_rhs is W21, flag_rhs is
+W, and the tables are W at a symbolic g; the coordinates solve their
+system iff g' = W; the Lie-Kolchin reduction by tau = g^{-1} gauges A
+to B = g^{-1}(A g - g') = V + tau (W - g'), which lies in h iff g' = W.
 
 Charts are fixed to the standard basis order.  When a chart minor
 vanishes the operation fails with the offending index rather than
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import warnings
 
-from .automorphic import AutomorphicField, GroupElement, is_in_subalgebra
+from .automorphic import AutomorphicField, GroupElement
 from .errors import BadBlockSize, ChartMinorVanishes, DimensionMismatch, Singular
 from .matrix import MatK
 from .mpoly import MPoly
@@ -88,14 +88,14 @@ class FlagCoords:
 
 
 class RiccatiSystem:
-    """The matrix Riccati system on the chart of m-planes, stored as blocks."""
+    """The matrix Riccati system of the m-plane chart attached to an automorphic field A."""
 
-    __slots__ = ("n", "m", "a11", "a12", "a21", "a22")
+    __slots__ = ("n", "m", "A")
 
-    def __init__(self, n, m, blocks):
-        self.n = n
+    def __init__(self, A: MatK, m: int):
+        self.n = A.rows
         self.m = m
-        self.a11, self.a12, self.a21, self.a22 = blocks
+        self.A = A
 
     def unknowns(self):
         """Unknown index pairs (i, j), 1-based, i = 1..n-m, j = 1..m."""
@@ -118,20 +118,50 @@ class FlagSystem:
         return [(i, j) for j in range(1, self.n + 1) for i in range(j + 1, self.n + 1)]
 
 
+def _sweep(a: MatK, g: MatK, m: int | None = None):
+    """(W, V) with A g = W + g V, V in h and W zero on h, for g unit
+    block-lower: blocks (m, n - m) for m-planes, 1 x 1 for flags (m None).
+
+    (i, j) lies off h iff i's block comes after j's.  One forward
+    substitution over M = A g gives X = W + V, whose parts have disjoint
+    supports: X_ij = M_ij - sum_k g_ik X_kj, over the k in a block
+    before i's block and not after j's.
+    """
+    n = a.rows
+    # the first index of i's block, and one past the last index of j's
+    start = [i if m is None else 0 if i < m else m for i in range(n)]
+    end = [j + 1 if m is None else m if j < m else n for j in range(n)]
+    prod = a * g
+    x = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            acc = prod[i, j]
+            for k in range(min(start[i], end[j])):
+                acc = acc - g[i, k] * x[k][j]
+            x[i][j] = acc
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    return (MatK(n, n, [x[i][j] if start[i] >= end[j] else RF_ZERO for i, j in cells]),
+            MatK(n, n, [RF_ZERO if start[i] >= end[j] else x[i][j] for i, j in cells]))
+
+
+def _plane_point(plane: PlaneCoords) -> MatK:
+    """The chart point g = [[I, 0], [Lambda, I]] of the plane."""
+    n, m = plane.n, plane.m
+    return MatK.block_join(MatK.identity(m), MatK.zero(m, n - m), plane.Lambda, MatK.identity(n - m))
+
+
 def riccati_generate(a: AutomorphicField, m: int) -> RiccatiSystem:
     """Build the matrix Riccati system of the m-plane chart from A."""
-    n = a.n
-    if m is None or not 1 <= m < n:
-        raise BadBlockSize(f"plane dimension {m} invalid for rank {n}")
-    return RiccatiSystem(n, m, a.matrix.block_split(m))
+    if m is None or not 1 <= m < a.n:
+        raise BadBlockSize(f"plane dimension {m} invalid for rank {a.n}")
+    return RiccatiSystem(a.matrix, m)
 
 
 def riccati_rhs(sys: RiccatiSystem, plane: PlaneCoords) -> MatK:
-    """A21 + A22 L - L A11 - L A12 L, evaluated exactly."""
+    """A21 + A22 L - L A11 - L A12 L: the block W21 of _sweep at the plane's chart point."""
     if (plane.n, plane.m) != (sys.n, sys.m):
         raise DimensionMismatch("plane does not match system shape")
-    lam = plane.Lambda
-    return sys.a21 + sys.a22 * lam - lam * sys.a11 - lam * sys.a12 * lam
+    return _sweep(sys.A, _plane_point(plane), sys.m)[0].block_split(sys.m)[2]
 
 
 def riccati_check_solution(sys: RiccatiSystem, plane: PlaneCoords) -> bool:
@@ -170,9 +200,7 @@ def riccati_table(sys: RiccatiSystem):
     index pairs (the empty tuple is the constant term): riccati_rhs
     evaluated at the symbolic chart Lambda = [var (i, j)], 1-based.
     """
-    rows, cols = sys.n - sys.m, sys.m
-    lam = MatK(rows, cols, [MPoly.var((i, j)) for i in range(1, rows + 1)
-                            for j in range(1, cols + 1)])
+    lam = MatK(sys.n - sys.m, sys.m, [MPoly.var(ij) for ij in sorted(sys.unknowns())])
     rhs = riccati_rhs(sys, PlaneCoords(sys.n, sys.m, lam))
     return {(i, j): rhs[i - 1, j - 1] for (i, j) in sys.unknowns()}
 
@@ -180,42 +208,22 @@ def riccati_table(sys: RiccatiSystem):
 def flag_table(sys: FlagSystem):
     """Coefficient tables of the flag system, one per unknown.
 
-    Same monomial convention as riccati_table: the flag substitution of
-    flag_rhs evaluated at the symbolic unit-lower L with l_ij = var (i, j).
+    Same monomial convention as riccati_table: flag_rhs evaluated at the
+    symbolic unit-lower L with l_ij = var (i, j).
     """
     n = sys.n
     lam = MatK(n, n, [1 if i == j else 0 if i < j else MPoly.var((i, j))
                       for i in range(1, n + 1) for j in range(1, n + 1)])
-    rhs = _flag_substitution(sys.A, lam)
+    rhs = _sweep(sys.A, lam)[0]
     return {(i, j): rhs[i - 1, j - 1] for (i, j) in sys.unknowns()}
-
-
-def _flag_substitution(a: MatK, lam: MatK) -> MatK:
-    """The strictly-lower matrix A L - L V, V by forward substitution.
-
-    V is the unique upper-triangular completion making A L - L V strictly
-    lower.  With M = A L, both parts of W = M - L V come from one column
-    sweep, W_ij = M_ij - sum_{k < i, k <= j} L_ik W_kj (L_ii = 1): the
-    entries with i <= j are V, those with i > j the result.
-    """
-    n = a.rows
-    m = a * lam
-    w = [[RF_ZERO] * n for _ in range(n)]
-    for j in range(n):
-        for i in range(n):
-            acc = m[i, j]
-            for k in range(min(i, j + 1)):
-                acc = acc - lam[i, k] * w[k][j]
-            w[i][j] = acc
-    return MatK(n, n, [w[i][j] if i > j else RF_ZERO for i in range(n) for j in range(n)])
 
 
 def flag_rhs(sys: FlagSystem, flag: FlagCoords) -> MatK:
     """Right-hand side L' = A L - L V of the flag system at the coordinates.
 
-    V is the upper-triangular completion found by forward substitution
-    (see _flag_substitution), so the result is strictly lower
-    triangular.  For n <= 3 the (i, j) entry is the classical cubic
+    This is W of the split A L = W + L V (see _sweep), with V upper
+    triangular, so the result is strictly lower triangular.  For n <= 3
+    the (i, j) entry is the classical cubic
 
         sum_{k=j..n} a_ik l_kj
       - sum_{k=1..j} sum_{r=j..n} l_ik a_kr l_rj
@@ -226,7 +234,7 @@ def flag_rhs(sys: FlagSystem, flag: FlagCoords) -> MatK:
     """
     if flag.n != sys.n:
         raise DimensionMismatch("flag does not match system rank")
-    return _flag_substitution(sys.A, flag.lam)
+    return _sweep(sys.A, flag.lam)[0]
 
 
 def flag_check_solution(sys: FlagSystem, flag: FlagCoords) -> bool:
@@ -270,62 +278,54 @@ def _unit_lower_inverse(lam: MatK) -> MatK:
         for j in range(i):
             acc = RF_ZERO
             for k in range(j, i):
-                if not lam[i, k].is_zero():
-                    acc = acc - lam[i, k] * x[k][j]
+                acc = acc - lam[i, k] * x[k][j]
             x[i][j] = acc
     return MatK.from_rows(x)
 
 
-_NOT_A_SOLUTION = {
-    "block_upper": "plane is not a Riccati solution; block shape not guaranteed",
-    "upper_triangular": "coordinates do not solve the flag system; Borel shape not guaranteed",
-}
-
-
-def _reduce(a: AutomorphicField, g: MatK, shape: str, m: int | None = None) -> ReductionResult:
+def _reduce(a: AutomorphicField, g: MatK, m: int | None, not_a_solution: str) -> ReductionResult:
     """Gauge A by tau = g^{-1}, g the unit-lower chart point of the coordinates.
 
     tau comes from forward substitution and has determinant 1.  The gauged
-    field tau A tau^{-1} + tau' tau^{-1} is B = g^{-1}(A g - g').  The
-    coordinates solve their system iff B lies in the Lie algebra of the
-    stabilizer of the base point (shape, see is_in_subalgebra), so the
-    verdict is read off B.  For a non-solution a NotASolutionWarning is
-    emitted, pointing at the caller of reduce_by_*, and B is still returned.
+    field tau A tau^{-1} + tau' tau^{-1} = g^{-1}(A g - g') is
+    B = V + tau (W - g') (see _sweep), whose part off h, tau (W - g'), is 0
+    iff g' = W: then B = V, with no product by tau.  A non-solution emits a
+    NotASolutionWarning at the caller of reduce_by_* and still returns B.
     """
     tau = GroupElement._known(_unit_lower_inverse(g), RF_ONE)
-    field = AutomorphicField(tau.sigma * (a.matrix * g - g.derive()))
-    ok = is_in_subalgebra(field, shape, m)
+    w, v = _sweep(a.matrix, g, m)
+    dg = g.derive()
+    ok = w == dg
     if not ok:
-        warnings.warn(_NOT_A_SOLUTION[shape], NotASolutionWarning, stacklevel=3)
-    return ReductionResult(tau, field, ok)
+        warnings.warn(not_a_solution, NotASolutionWarning, stacklevel=3)
+        v = v + tau.sigma * (w - dg)
+    return ReductionResult(tau, AutomorphicField(v), ok)
 
 
 def reduce_by_plane(a: AutomorphicField, plane: PlaneCoords) -> ReductionResult:
     """Gauge A by tau = [[I, 0], [-Lambda, I]], the inverse of g = [[I, 0], [Lambda, I]].
 
-    The (2,1) block of B = g^{-1}(A g - g') is the Riccati right-hand side
-    minus Lambda', so Lambda solves the matrix Riccati system iff B is
-    block upper (the stabilizer of the standard m-plane).  See _reduce.
+    B is block upper (in the stabilizer of the standard m-plane) iff
+    Lambda solves the matrix Riccati system.  See _reduce.
     """
     n, m = plane.n, plane.m
     if a.n != n:
         raise DimensionMismatch("field and plane rank mismatch")
     if not 1 <= m < n:
         raise BadBlockSize(f"plane dimension {m} invalid for rank {n}")
-    g = MatK.block_join(MatK.identity(m), MatK.zero(m, n - m), plane.Lambda, MatK.identity(n - m))
-    return _reduce(a, g, "block_upper", m)
+    return _reduce(a, _plane_point(plane), m,
+                   "plane is not a Riccati solution; block shape not guaranteed")
 
 
 def reduce_by_flag(a: AutomorphicField, flag: FlagCoords) -> ReductionResult:
     """Gauge A by tau = L^{-1}, the inverse of the flag coordinate matrix.
 
-    B = L^{-1}(A L - L') is upper triangular (Borel form) iff
-    L' = A L - L V for some upper-triangular V, which is unique, i.e. iff
-    L solves the flag system.  See _reduce.
+    B is upper triangular (Borel form) iff L solves the flag system.  See _reduce.
     """
     if a.n != flag.n:
         raise DimensionMismatch("field and flag rank mismatch")
-    return _reduce(a, flag.lam, "upper_triangular")
+    return _reduce(a, flag.lam, None,
+                   "coordinates do not solve the flag system; Borel shape not guaranteed")
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +459,8 @@ def riccati_display_report():
     Keys are (n, m); each value is a list of per-term discrepancies (empty
     when the print agrees with the generated system).
     """
-    report = {}
-    for (n, m), displayed in DISPLAYED_RICCATI.items():
-        report[(n, m)] = _diff_tables(_symbolic_table("riccati", n, m), displayed)
-    return report
+    return {(n, m): _diff_tables(_symbolic_table("riccati", n, m), displayed)
+            for (n, m), displayed in DISPLAYED_RICCATI.items()}
 
 
 def flag_display_report():

@@ -239,8 +239,8 @@ class MatK:
 def _entries(nums, den):
     """The canonical RatFuncs num / den for each num in Z[i][t], den nonzero.
 
-    Each takes one primitive gcd (none when either side is a constant),
-    exact quotients, then division by the remaining denominator's leading
+    Each takes one primitive gcd, which also gives the exact quotients
+    (_zgcd), then division by the remaining denominator's leading
     Gaussian integer.  Entries that share all of den share its Poly.
     """
     lead = den[-1]
@@ -250,10 +250,7 @@ def _entries(nums, den):
         if not num:
             out.append(RF_ZERO)
             continue
-        d = den
-        g = _zgcd(num, den)
-        if len(g) > 1:
-            num, d = _zquo(num, g), _zquo(den, g)
+        _, num, d = _zgcd(num, den)
         if d is den:
             if whole is None:
                 whole = _from_zi(den, lead)
@@ -337,7 +334,7 @@ class _OneDen:
         lcm = _ZONE
         for p, _, _ in dens.values():
             if p != lcm and p != _ZONE:
-                lcm = p if lcm == _ZONE else _zmul(lcm, _zquo(p, _zgcd(lcm, p)))
+                lcm = p if lcm == _ZONE else _zmul(lcm, _zgcd(lcm, p)[2])
         cofactors = {key: _zquo(lcm, p) for key, (p, _, _) in dens.items()}
         nums = [_clear(e.num) for e in mat.entries]
         s = math.lcm(*(a * dens[id(e.den)][2] for (_, a), e in zip(nums, mat.entries)))

@@ -125,7 +125,7 @@ class Poly:
             return other.monic()
         if other.is_zero():
             return self.monic()
-        g = _zgcd(_clear(self)[0], _clear(other)[0])
+        g = _zgcd(_clear(self)[0], _clear(other)[0])[0]
         return _from_zi(g, g[-1])
 
     def derivative(self) -> "Poly":
@@ -304,10 +304,10 @@ def _sym(x, p):
 
 
 def _zgcd(a, b):
-    """The primitive gcd h of nonzero a and b, up to a unit; it divides both in Z[i][t].
+    """(h, a / h, b / h): h the primitive gcd of nonzero a and b, up to a unit.
 
     Brown's modular gcd (J. ACM 18(4), 1971) over primes p = 1 (mod 4).
-    Either operand constant: h is a unit.
+    Either operand constant: h is a unit.  A unit h is returned as 1.
 
     The first prime is a certificate of coprimality.  Map a and b to
     F_p[t] through P = (p, i - r).  If a or b keeps its degree mod P and
@@ -326,7 +326,7 @@ def _zgcd(a, b):
     deg h.
     """
     if len(a) == 1 or len(b) == 1:
-        return _ZONE
+        return _ZONE, a, b
     gamma = acc = m = None
     k = 0
     while True:
@@ -336,14 +336,14 @@ def _zgcd(a, b):
         if u is None:
             continue
         if len(u) == 1:
-            return _ZONE
+            return _ZONE, a, b
         if gamma is None:
             gamma = _gi_gcd(a[-1], b[-1])
         v = _image_gcd(a, b, p, p - r)
         if v is None:
             continue
         if len(v) == 1:
-            return _ZONE
+            return _ZONE, a, b
         if len(u) != len(v) or (acc is not None and len(u) > len(acc)):
             continue
         gu = (gamma[0] + r * gamma[1]) % p
@@ -358,8 +358,8 @@ def _zgcd(a, b):
                    for (x, y), (X, Y) in zip(mod_p, acc)]
             m *= p
         h = _primitive(acc[::-1])
-        if _zquo(a, h) is not None and _zquo(b, h) is not None:
-            return h
+        if (qa := _zquo(a, h)) is not None and (qb := _zquo(b, h)) is not None:
+            return h, qa, qb
 
 
 def _strip(re, im):
@@ -532,6 +532,10 @@ class RatFunc:
     def _add_signed(self, other, negate: bool):
         # Henrici's algorithm: both operands are canonical, so the only
         # possible cancellation sits inside g = gcd of the denominators
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return -other if negate else other
         an, ad = self.num, self.den
         bn, bd = other.num, other.den
         if negate:

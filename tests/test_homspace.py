@@ -4,11 +4,11 @@ import warnings
 import pytest
 
 from lievessiot.automorphic import (AutomorphicField, GroupElement,
-                                   gauge_transform, log_deriv)
+                                   gauge_transform, is_in_subalgebra, log_deriv)
 from lievessiot.errors import (BadBlockSize, ChartMinorVanishes,
                                DimensionMismatch)
 from lievessiot.homspace import (FlagCoords, NotASolutionWarning, PlaneCoords,
-                                 flag_check_solution,
+                                 _sweep, flag_check_solution,
                                  flag_coords, flag_generate, flag_rhs,
                                  flag_table, flag_to_grassmann,
                                  plucker_coords, reduce_by_flag,
@@ -73,6 +73,10 @@ def test_riccati_rhs_matches_table_evaluation():
             rhs = riccati_rhs(sys_, plane)
             for (i, j) in sys_.unknowns():
                 assert evaluate_table(tables[(i, j)], values) == rhs[i - 1, j - 1]
+            # both come from one split of A g, so check the block formula too
+            a11, a12, a21, a22 = a.matrix.block_split(m)
+            lam = plane.Lambda
+            assert rhs == a21 + a22 * lam - lam * a11 - lam * a12 * lam
 
 
 def test_fundamental_solution_solves_riccati():
@@ -250,6 +254,7 @@ def test_reduce_by_plane_matches_gauge_reference():
                         MatK.identity(m), MatK.zero(m, n - m), -plane.Lambda, MatK.identity(n - m))
                     assert result.tau._det == result.tau.sigma.det() == RF_ONE
                     assert result.field == gauge_transform(result.tau, a)
+                    assert is_in_subalgebra(result.field, "block_upper", m) is result.is_solution
                     assert result.is_solution is riccati_check_solution(
                         riccati_generate(a, m), plane) is expected
 
@@ -269,8 +274,31 @@ def test_reduce_by_flag_matches_gauge_reference():
                 assert result.tau.sigma * flag.lam == MatK.identity(n)
                 assert result.tau._det == result.tau.sigma.det() == RF_ONE
                 assert result.field == gauge_transform(result.tau, a)
+                assert is_in_subalgebra(result.field, "upper_triangular") is result.is_solution
                 assert result.is_solution is flag_check_solution(
                     flag_generate(a), flag) is expected
+
+
+def test_sweep_splits_a_g():
+    # A g = W + g V, V in h and W zero on h, for h block upper with blocks
+    # (m, n - m) and g = [[I, 0], [Lambda, I]], or h upper triangular and g
+    # unit lower (m None)
+    rng = random.Random(53)
+    for n in (2, 3, 4):
+        for m in [*range(1, n), None]:
+            a = MatK(n, n, [rand_ratfunc(rng, 1) for _ in range(n * n)])
+            if m is None:
+                g, shape = _unit_lower(n, lambda: rand_ratfunc(rng, 1)), "upper_triangular"
+                off_h = [(i, j) for i in range(n) for j in range(i)]
+            else:
+                lam = MatK(n - m, m, [rand_ratfunc(rng, 1) for _ in range((n - m) * m)])
+                g = MatK.block_join(MatK.identity(m), MatK.zero(m, n - m), lam, MatK.identity(n - m))
+                shape, off_h = "block_upper", [(i, j) for i in range(m, n) for j in range(m)]
+            w, v = _sweep(a, g, m)
+            assert a * g == w + g * v
+            assert is_in_subalgebra(AutomorphicField(v), shape, m)
+            assert all(w[i, j].is_zero() for i in range(n) for j in range(n) if (i, j) not in off_h)
+            assert any(not w[i, j].is_zero() for i, j in off_h)
 
 
 def _lower_right(mat, k):

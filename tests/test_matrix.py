@@ -257,3 +257,8 @@ def test_entry_is_the_canonical_form_of_sympy_cancel(a, b, c):
     p, q = _qi(num).cancel(_qi(den))
     lead = q.LC
     assert (_from_poly(ours.num), _from_poly(ours.den)) == (p.quo_ground(lead), q.quo_ground(lead))
+    # a zero operand of + and - returns the other operand, negated for 0 - x
+    for x, sign in ((ours + RF_ZERO, 1), (RF_ZERO + ours, 1), (ours - RF_ZERO, 1),
+                    (RF_ZERO - ours, -1)):
+        assert (_from_poly(x.num), _from_poly(x.den)) == (sign * p.quo_ground(lead),
+                                                          q.quo_ground(lead))

@@ -211,9 +211,10 @@ _T = [(0, 0), (1, 0)]
 @example([(1, 0), (1, 0)], [(-1, 0), (1, 0)], [(2**40 + 3, 5**20), (7, 0), (1, 0)])
 def test_zi_gcd_and_content_match_sympy(a, b, c):
     f, g = _zmul(a, c), _zmul(b, c)
-    ours = _zgcd(f, g)
+    ours, f_ours, g_ours = _zgcd(f, g)
     assert _up_to_unit(_sym(ours), _sym(f).gcd(_sym(g)).primitive()[1])
     assert _sym(_zquo(f, ours)) * _sym(ours) == _sym(f)
+    assert _sym(f_ours) * _sym(ours) == _sym(f) and _sym(g_ours) * _sym(ours) == _sym(g)
     content, primitive = _sym(f).primitive()
     assert _up_to_unit(sympy.ZZ_I(*_content(f)), content)
     assert _up_to_unit(_sym(_primitive(f)), primitive)
@@ -225,4 +226,5 @@ def test_zi_gcd_certifies_coprime_without_gaussian_gcds(monkeypatch):
         raise AssertionError("a Gaussian gcd on a coprime pair")
 
     monkeypatch.setattr(ratfunc, "_gi_gcd", refuse)
-    assert _zgcd([(2, 1), (2, 1)], [(-3, 0), (3, 0)]) == [(1, 0)]
+    a, b = [(2, 1), (2, 1)], [(-3, 0), (3, 0)]
+    assert _zgcd(a, b) == ([(1, 0)], a, b)
