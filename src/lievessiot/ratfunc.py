@@ -4,6 +4,11 @@ functions over the Gaussian rationals, with derivation d/dt.
 Canonical form of a RatFunc: gcd(num, den) = 1 and den monic.  Equality
 is structural equality of canonical forms, so every solution check in
 the package reduces to ==.
+
+Constant and polynomial operands skip the gcd: in a product with a constant
+factor or of two polynomials, or a sum with a polynomial term, each gcd of
+Henrici's rule has a constant operand and is exactly 1.  So Poly.gcd returns
+1 at once, a product by a constant Poly only scales, and forms stay canonical.
 """
 
 from __future__ import annotations
@@ -73,6 +78,9 @@ class Poly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Poly()
+        if len(self.coeffs) == 1 or len(other.coeffs) == 1:
+            (c,), p = (self.coeffs, other) if len(self.coeffs) == 1 else (other.coeffs, self)
+            return p if c.re == 1 and not c.im else Poly([a * c for a in p.coeffs])
         out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for j, a in enumerate(self.coeffs):
             if a.is_zero():
@@ -116,15 +124,17 @@ class Poly:
     def gcd(self, other: "Poly") -> "Poly":
         """Monic gcd, by Brown's modular gcd over Z[i][t] (_zgcd).
 
-        Denominators are cleared and the gcd runs modulo primes, where
-        coefficients stay below 2**30; the naive monic Euclidean
-        algorithm over Q(i) blows up badly on the operand sizes produced
-        by the matrix layer.
+        A nonzero constant operand gives 1 at once.  Otherwise denominators
+        are cleared and the gcd runs modulo primes, where coefficients stay
+        below 2**30; the naive monic Euclidean algorithm over Q(i) blows up
+        badly on the operand sizes produced by the matrix layer.
         """
         if self.is_zero():
             return other.monic()
         if other.is_zero():
             return self.monic()
+        if self.degree == 0 or other.degree == 0:
+            return _ONE_POLY
         g = _zgcd(_clear(self)[0], _clear(other)[0])[0]
         return _from_zi(g, g[-1])
 
@@ -540,8 +550,6 @@ class RatFunc:
         bn, bd = other.num, other.den
         if negate:
             bn = -bn
-        if ad.degree == 0 and bd.degree == 0:
-            return RatFunc(an + bn, _ONE_POLY, _canonical=True)
         g = ad.gcd(bd)
         if g.degree == 0:
             num = an * bd + bn * ad

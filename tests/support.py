@@ -1,11 +1,14 @@
 """Shared helpers for the test suite: seeded random generators for exact
-scalars, polynomials, rational functions, matrices and sphere points, and
-the environment of a subprocess that imports lievessiot."""
+scalars, polynomials, rational functions, matrices and sphere points, a
+hypothesis strategy for rational functions, and the environment of a
+subprocess that imports lievessiot."""
 
 import os
 import random
 from fractions import Fraction
 from pathlib import Path
+
+from hypothesis import strategies as st
 
 from lievessiot.matrix import MatK
 from lievessiot.ratfunc import Poly, RatFunc
@@ -36,6 +39,26 @@ def rand_ratfunc(rng: random.Random, max_deg=3, span=2) -> RatFunc:
     while den.is_zero():
         den = rand_poly(rng, max_deg, span)
     return RatFunc(num, den)
+
+
+_q = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+_gauss = st.builds(GaussianRational, _q, _q)
+_nonzero_gauss = _gauss.filter(bool)
+
+
+def _polys(min_deg: int):
+    """Polys of degree min_deg to 3, with a nonzero leading coefficient."""
+    return st.builds(lambda low, lead: Poly(low + [lead]),
+                     st.lists(_gauss, min_size=min_deg, max_size=3), _nonzero_gauss)
+
+
+# one operand class each: constants, polynomials (degree >= 1), and
+# fractions whose denominator has degree >= 1 before reduction
+ratfuncs = st.one_of(
+    _gauss.map(RatFunc.const),
+    _polys(1).map(RatFunc),
+    st.builds(RatFunc, _polys(0), _polys(1)),
+)
 
 
 def rand_poly_matrix(rng: random.Random, n: int, max_deg=3, span=2) -> MatK:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from lievessiot.errors import (DivisionByZeroFunction, ExprSyntaxError,
                                LimitExceeded, RaggedRows)
@@ -10,7 +11,7 @@ from lievessiot.parsing import (format_canonical, format_gaussian,
 from lievessiot.ratfunc import RF_ONE, RF_T, RatFunc
 from lievessiot.scalars import GaussianRational, gq
 
-from support import rand_gauss, rand_poly_matrix, rand_ratfunc
+from support import rand_gauss, rand_poly_matrix, rand_ratfunc, ratfuncs
 
 
 def test_basic_expressions():
@@ -108,11 +109,10 @@ def test_format_gaussian():
     assert format_gaussian(gq("1/2", "-3/4")) == "1/2 - 3/4*i"
 
 
-def test_format_parse_roundtrip_random():
-    rng = random.Random(71)
-    for _ in range(300):
-        f = rand_ratfunc(rng, 3)
-        assert parse_ratfunc(format_ratfunc(f)) == f
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(ratfuncs)
+def test_format_parse_roundtrip_random(f):
+    assert parse_ratfunc(format_ratfunc(f)) == f
 
 
 def test_format_parse_roundtrip_matrix():

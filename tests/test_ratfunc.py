@@ -14,7 +14,7 @@ from lievessiot.ratfunc import (Poly, RatFunc, RF_ONE, RF_T, RF_ZERO, _content,
                                 check_integral_solution)
 from lievessiot.scalars import GaussianRational, gq
 
-from support import rand_poly, rand_ratfunc
+from support import rand_poly, rand_ratfunc, ratfuncs
 
 
 def test_poly_basics():
@@ -228,3 +228,68 @@ def test_zi_gcd_certifies_coprime_without_gaussian_gcds(monkeypatch):
     monkeypatch.setattr(ratfunc, "_gi_gcd", refuse)
     a, b = [(2, 1), (2, 1)], [(-3, 0), (3, 0)]
     assert _zgcd(a, b) == ([(1, 0)], a, b)
+
+
+def test_constant_and_polynomial_operands_skip_the_gcd(monkeypatch):
+    # a gcd with a constant operand is 1, and a product by a constant only
+    # scales, so none of these clears an operand to Z[i] or runs _zgcd
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    p, q = RatFunc(Poly([1, 1])), RatFunc(Poly([gq(0, -1), 2]))  # t + 1, 2t - i
+    f = RatFunc(Poly([1, 1]), Poly([-2, 0, 1]))  # (t + 1)/(t^2 - 2)
+    c = gq("2/3", -1)
+    with monkeypatch.context() as m:
+        m.setattr(ratfunc, "_zgcd", counted(ratfunc._zgcd))
+        m.setattr(ratfunc, "_clear", counted(ratfunc._clear))
+        got = [p * q, RatFunc.const(c) * f, f * RF_ONE, p + f, p - f]
+        gcds = [p.num.gcd(Poly.const(3)), Poly.const(gq(0, 2)).gcd(f.den)]
+    assert calls == []
+    # the same values through the reducing constructor
+    assert got == [
+        RatFunc(Poly([gq(0, -1), gq(2, -1), 2]), Poly([1])),
+        RatFunc(Poly([c * 5, c * 5]), Poly([-10, 0, 5])),
+        RatFunc(Poly([3, 3]), Poly([-6, 0, 3])),
+        RatFunc(Poly([-1, -1, 1, 1]), Poly([-2, 0, 1])),
+        RatFunc(Poly([-3, -3, 1, 1]), Poly([-2, 0, 1])),
+    ]
+    assert gcds == [Poly([1]), Poly([1])]
+    # a product by 1 shares the other operand's polynomials
+    assert got[2].num is f.num and got[2].den is f.den
+
+
+# -- RatFunc arithmetic against sympy's cancel over Q(i)(t) ------------------
+
+_ST = sympy.Symbol("t")
+
+
+def _sym_poly(p: Poly):
+    return sympy.Poly.from_list(
+        [sympy.Rational(c.re.numerator, c.re.denominator)
+         + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)
+         for c in reversed(p.coeffs)] or [0], _ST, domain="QQ_I")
+
+
+def _agrees(ours: RatFunc, num, den) -> bool:
+    """ours is sympy's cancel of num/den with the denominator made monic."""
+    num, den = num.cancel(den, include=True)
+    lead = den.LC()
+    return (_sym_poly(ours.num) == num.quo_ground(lead)
+            and _sym_poly(ours.den) == den.quo_ground(lead))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(ratfuncs, ratfuncs)
+def test_arithmetic_matches_sympy_cancel(a, b):
+    an, ad, bn, bd = map(_sym_poly, (a.num, a.den, b.num, b.den))
+    assert _agrees(a + b, an * bd + bn * ad, ad * bd)
+    assert _agrees(a - b, an * bd - bn * ad, ad * bd)
+    assert _agrees(a * b, an * bn, ad * bd)
+    assert _agrees(a.derive(), an.diff() * ad - an * ad.diff(), ad * ad)
+    if not b.is_zero():
+        assert _agrees(a / b, an * bd, ad * bn)
