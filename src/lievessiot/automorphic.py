@@ -13,35 +13,57 @@ sometimes print Adj_sigma in the inverse law; the cocycle-forced form is
 the one implemented and tested.)
 
 GL(n, K) is used as a group.  A GroupElement built from a matrix runs
-one fraction-free Gauss-Jordan elimination: its last pivot gives det,
-so det != 0 is checked once, and its right half gives the inverse,
-which is kept and linked back.  Products and inverses take their
+one fraction-free Gauss-Jordan elimination at once: its last pivot gives
+det, so det != 0 is checked once, eagerly, and its right half gives the
+inverse, which is linked back.  Products and inverses take their
 determinants from the group law (det(sigma tau) = det sigma det tau,
 det(sigma^{-1}) = 1/det sigma) with no further check, and each element
-computes its inverse at most once.  Each element keeps its matrix as
-numerators in Z[i][t] over one denominator, and products, log_deriv,
-adjoint and gauge_transform are evaluated in that form and reduce each
-entry of the result once; for a polynomial sigma,
-l(sigma) = sigma' adj(sigma) / det(sigma).
+computes its inverse at most once.  Group elements and automorphic fields
+keep their matrix as numerators in Z[i][t] over one denominator, and
+products, inverses, log_deriv, adjoint and gauge_transform are evaluated
+and kept in that form; for a polynomial sigma,
+l(sigma) = sigma' adj(sigma) / det(sigma).  Each entry is made canonical
+once, when sigma, matrix or det() is first read.
 """
 
 from __future__ import annotations
 
 from .errors import BadBlockSize, DimensionMismatch, Singular, ToolkitError
 from .matrix import MatK, _entry, _OneDen
-from .ratfunc import _zpow
+from .ratfunc import RatFunc, _zmul, _zpow
 
 
-class AutomorphicField:
+class _TwoForms:
+    """A square matrix over K in two forms, each built from the other at
+    most once, on first use: a MatK of canonical entries and a _OneDen."""
+
+    __slots__ = ("n", "_mat", "_oneden")
+
+    def __init__(self, form):
+        if isinstance(form, _OneDen):
+            self.n, self._mat, self._oneden = len(form.rows), None, form
+        elif form.is_square:
+            self.n, self._mat, self._oneden = form.rows, form, None
+        else:
+            raise DimensionMismatch(f"{self._what} must be square")
+
+    def _matk(self) -> MatK:
+        if self._mat is None:
+            self._mat = self._oneden.to_matk()
+        return self._mat
+
+    def _one_den(self) -> _OneDen:
+        if self._oneden is None:
+            self._oneden = _OneDen.of(self._mat.entries, self.n)
+        return self._oneden
+
+
+class AutomorphicField(_TwoForms):
     """A matrix A in gl(n, K), the right-hand side of x' = A x."""
 
-    __slots__ = ("n", "matrix")
-
-    def __init__(self, matrix: MatK):
-        if not matrix.is_square:
-            raise DimensionMismatch("automorphic field must be square")
-        self.n = matrix.rows
-        self.matrix = matrix
+    __slots__ = ()
+    _what = "automorphic field"
+    matrix = property(_TwoForms._matk)
 
     def __eq__(self, other):
         if not isinstance(other, AutomorphicField):
@@ -55,49 +77,42 @@ class AutomorphicField:
         return f"AutomorphicField({self.matrix!s})"
 
 
-class GroupElement:
+class GroupElement(_TwoForms):
     """An element of GL(n, K): a square matrix with det != 0 in K."""
 
-    __slots__ = ("n", "sigma", "_det", "_inverse", "_oneden")
+    __slots__ = ("_det", "_inverse")
+    _what = "group element"
+    sigma = property(_TwoForms._matk)
 
     def __init__(self, sigma: MatK):
-        if not sigma.is_square:
-            raise DimensionMismatch("group element must be square")
-        self.n = sigma.rows
-        self.sigma = sigma
-        self._oneden = None
+        super().__init__(sigma)
         try:
-            det_n, d_n = self._invert()
+            self._det = self._invert()
         except Singular:
             raise Singular("group element must be invertible over K") from None
-        self._det = _entry(det_n, d_n)
 
     @staticmethod
-    def _known(sigma: MatK, det) -> "GroupElement":
-        """The element sigma, whose nonzero determinant det the caller knows."""
+    def _known(form, det) -> "GroupElement":
+        """The element of matrix form (a MatK or a _OneDen) whose determinant
+        num / den the caller knows, as det = (num, den), both nonzero in Z[i][t]."""
         g = object.__new__(GroupElement)
-        g.n = sigma.rows
-        g.sigma = sigma
-        g._det = det
-        g._inverse = None
-        g._oneden = None
+        _TwoForms.__init__(g, form)
+        g._det, g._inverse = det, None
         return g
-
-    def _one_den(self) -> _OneDen:
-        """sigma as numerators over one denominator, built once."""
-        if self._oneden is None:
-            self._oneden = _OneDen.of(self.sigma)
-        return self._oneden
 
     def _invert(self):
         """Sets the inverse, linked back to self, from one fraction-free
-        Gauss-Jordan on sigma = N / d, and returns (det N, d^n)."""
+        Gauss-Jordan on sigma = N / d, and returns det sigma as (det N, d^n)."""
         q = self._one_den()
         inv, det_n = q.inverse()
-        d_n = _zpow(q.den, self.n)
-        self._inverse = GroupElement._known(inv.to_matk(), _entry(d_n, det_n))
+        det = (det_n, _zpow(q.den, self.n))
+        self._inverse = GroupElement._known(inv, det[::-1])
         self._inverse._inverse = self
-        return det_n, d_n
+        return det
+
+    def det(self) -> RatFunc:
+        """det sigma, made canonical on request."""
+        return _entry(*self._det)
 
     def inverse(self) -> "GroupElement":
         if self._inverse is None:
@@ -107,8 +122,8 @@ class GroupElement:
     def __mul__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
-        product = (self._one_den() * other._one_den()).to_matk()
-        return GroupElement._known(product, self._det * other._det)
+        (a, b), (c, d) = self._det, other._det
+        return GroupElement._known(self._one_den() * other._one_den(), (_zmul(a, c), _zmul(b, d)))
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
@@ -124,15 +139,14 @@ class GroupElement:
 
 def log_deriv(sigma: GroupElement) -> AutomorphicField:
     """l(sigma) = sigma' * sigma^{-1}; vanishes on constant matrices."""
-    return AutomorphicField((sigma._one_den().derive() * sigma.inverse()._one_den()).to_matk())
+    return AutomorphicField(sigma._one_den().derive() * sigma.inverse()._one_den())
 
 
 def adjoint(tau: GroupElement, a: AutomorphicField) -> AutomorphicField:
     """Adj_tau(A) = tau * A * tau^{-1}."""
     if tau.n != a.n:
         raise DimensionMismatch("adjoint size mismatch")
-    product = tau._one_den() * _OneDen.of(a.matrix) * tau.inverse()._one_den()
-    return AutomorphicField(product.to_matk())
+    return AutomorphicField(tau._one_den() * a._one_den() * tau.inverse()._one_den())
 
 
 def gauge_transform(tau: GroupElement, a: AutomorphicField) -> AutomorphicField:
@@ -140,8 +154,7 @@ def gauge_transform(tau: GroupElement, a: AutomorphicField) -> AutomorphicField:
     if tau.n != a.n:
         raise DimensionMismatch("gauge size mismatch")
     t = tau._one_den()
-    product = (t * _OneDen.of(a.matrix) + t.derive()) * tau.inverse()._one_den()
-    return AutomorphicField(product.to_matk())
+    return AutomorphicField((t * a._one_den() + t.derive()) * tau.inverse()._one_den())
 
 
 def check_automorphic_solution(a: AutomorphicField, sigma: GroupElement) -> bool:

@@ -30,7 +30,7 @@ from .automorphic import AutomorphicField, GroupElement
 from .errors import BadBlockSize, ChartMinorVanishes, DimensionMismatch, Singular
 from .matrix import MatK
 from .mpoly import MPoly
-from .ratfunc import RF_ONE, RF_ZERO, _as_rf
+from .ratfunc import _ZONE, RF_ONE, RF_ZERO, _as_rf
 from .records import Record
 from .scalars import GaussianRational
 
@@ -292,7 +292,7 @@ def _reduce(a: AutomorphicField, g: MatK, m: int | None, not_a_solution: str) ->
     iff g' = W: then B = V, with no product by tau.  A non-solution emits a
     NotASolutionWarning at the caller of reduce_by_* and still returns B.
     """
-    tau = GroupElement._known(_unit_lower_inverse(g), RF_ONE)
+    tau = GroupElement._known(_unit_lower_inverse(g), (_ZONE, _ZONE))
     w, v = _sweep(a.matrix, g, m)
     dg = g.derive()
     ok = w == dg

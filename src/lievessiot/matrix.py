@@ -10,10 +10,13 @@ domain and every division inside is exact there, so the eliminations
 run on Gaussian-integer coefficient lists, in Python ints, with no
 Fraction and no gcd; each result entry is brought to canonical form
 once, by one primitive gcd.  Pivots are the first row with a nonzero
-entry, which is deterministic.  Ring operations (+, -, *) also run on
-entries of any commutative ring that mixes with K, such as MPoly, which
-is how the Riccati and flag tables evaluate their right-hand sides at
-symbolic coordinates.
+entry, which is deterministic.  Sums and differences of matrices over K
+take the same route: both operands are written over one common
+denominator, their numerators are added in Z[i][t] and each entry of the
+result is made canonical once.  Ring operations (+, -, *) also run,
+entry by entry, on entries of any commutative ring that mixes with K,
+such as MPoly, which is how the Riccati and flag tables evaluate their
+right-hand sides at symbolic coordinates.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from .errors import BadBlockSize, DimensionMismatch, PrincipalMinorVanishes, Sin
 from .ratfunc import (_ZONE, RF_ONE, RF_ZERO, RatFunc, _as_rf, _clear, _content, _from_zi,
                       _zderiv, _zdot, _zgcd, _zmul, _zneg, _zpow, _zquo)
 from .scalars import GaussianRational
+
+_SCALARS = (int, GaussianRational, RatFunc)
 
 
 class MatK:
@@ -69,25 +74,31 @@ class MatK:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __add__(self, other):
+    def _sum(self, other, negate: bool):
         if not isinstance(other, MatK):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix addition shape mismatch")
-        return MatK(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
+            raise DimensionMismatch(f"matrix {'subtraction' if negate else 'addition'} shape mismatch")
+        both = self.entries + other.entries
+        if not all(isinstance(e, RatFunc) for e in both):
+            return MatK(self.rows, self.cols,
+                        [a - b if negate else a + b for a, b in zip(self.entries, other.entries)])
+        q = _OneDen.of(both, len(self.entries))
+        s = [(-1, 0)] if negate else _ZONE
+        return MatK(self.rows, self.cols,
+                    _entries([_zdot(((a, _ZONE), (b, s))) for a, b in zip(*q.rows)], q.den))
+
+    def __add__(self, other):
+        return self._sum(other, False)
 
     def __sub__(self, other):
-        if not isinstance(other, MatK):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix subtraction shape mismatch")
-        return MatK(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
+        return self._sum(other, True)
 
     def __neg__(self):
         return MatK(self.rows, self.cols, [-a for a in self.entries])
 
     def __mul__(self, other):
-        if isinstance(other, (int, RatFunc)):
+        if isinstance(other, _SCALARS):
             s = _as_rf(other)
             return MatK(self.rows, self.cols, [a * s for a in self.entries])
         if not isinstance(other, MatK):
@@ -110,7 +121,7 @@ class MatK:
         return MatK(self.rows, other.cols, out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, RatFunc)):
+        if isinstance(other, _SCALARS):
             return self * other
         return NotImplemented
 
@@ -137,7 +148,7 @@ class MatK:
         """Exact determinant: det N / d^n, det N from _gauss_jordan on N."""
         if not self.is_square:
             raise DimensionMismatch("determinant of a non-square matrix")
-        q = _OneDen.of(self)
+        q = _OneDen.of(self.entries, self.cols)
         try:
             pivot, negate = _gauss_jordan(q.rows, self.rows)
         except Singular:
@@ -148,7 +159,7 @@ class MatK:
         """Exact inverse d * adj(N) / det(N) by fraction-free Gauss-Jordan; raises Singular."""
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
-        return _OneDen.of(self).inverse()[0].to_matk()
+        return _OneDen.of(self.entries, self.cols).inverse()[0].to_matk()
 
     def principal_minors(self):
         """The n leading principal minors (top-left k x k determinants)."""
@@ -317,16 +328,17 @@ class _OneDen:
         self.den = den
 
     @staticmethod
-    def of(mat: MatK) -> "_OneDen":
-        """N / d with d = s P: P the primitive lcm of the entry denominators
-        in Z[i][t] and s the lcm of the integers that clear their scalars.
+    def of(entries, cols: int) -> "_OneDen":
+        """N / d for the RatFunc entries, in rows of cols, with d = s P: P the
+        primitive lcm of the entry denominators in Z[i][t] and s the lcm of
+        the integers that clear their scalars.
 
         An entry's denominator, cleared to b den = g p with g its content
         and p primitive, is p * norm(g) / (b conj(g)); its numerator,
         cleared, is n / a.  Every p divides P in Z[i][t] (Gauss's lemma).
         """
         dens = {}  # id of a denominator -> (p, b conj(g), norm(g)); entries often share one
-        for e in mat.entries:
+        for e in entries:
             if id(e.den) not in dens:
                 dd, b = _clear(e.den)
                 g = _content(dd)
@@ -336,14 +348,13 @@ class _OneDen:
             if p != lcm and p != _ZONE:
                 lcm = p if lcm == _ZONE else _zmul(lcm, _zgcd(lcm, p)[2])
         cofactors = {key: _zquo(lcm, p) for key, (p, _, _) in dens.items()}
-        nums = [_clear(e.num) for e in mat.entries]
-        s = math.lcm(*(a * dens[id(e.den)][2] for (_, a), e in zip(nums, mat.entries)))
+        nums = [_clear(e.num) for e in entries]
+        s = math.lcm(*(a * dens[id(e.den)][2] for (_, a), e in zip(nums, entries)))
         flat = []
-        for (n, a), e in zip(nums, mat.entries):
+        for (n, a), e in zip(nums, entries):
             _, (ur, ui), w = dens[id(e.den)]
             c = s // (a * w)
             flat.append(_zmul(_zmul(n, [(ur * c, ui * c)]), cofactors[id(e.den)]))
-        cols = mat.cols
         return _OneDen([flat[i:i + cols] for i in range(0, len(flat), cols)],
                        _zmul([(s, 0)], lcm))
 

@@ -550,6 +550,8 @@ class RatFunc:
         bn, bd = other.num, other.den
         if negate:
             bn = -bn
+        if ad.degree == 0 and bd.degree == 0:
+            return RatFunc(an + bn, _ONE_POLY, _canonical=True)
         g = ad.gcd(bd)
         if g.degree == 0:
             num = an * bd + bn * ad

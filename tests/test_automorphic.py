@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import lievessiot.matrix as matrix
 from lievessiot.automorphic import (AutomorphicField, GroupElement, adjoint,
                                     check_automorphic_solution,
                                     gauge_transform, is_in_subalgebra,
@@ -36,11 +37,41 @@ def test_group_element_eliminates_once(monkeypatch):
             m.setattr(MatK, "det", again)
             m.setattr(MatK, "inverse", again)
             g = GroupElement(sigma)
-            assert g._det == det and g.inverse().sigma == inv
-            assert g.inverse()._det == RF_ONE / det and g.inverse().inverse() is g
+            assert g.det() == det and g.inverse().sigma == inv
+            assert g.inverse().det() == RF_ONE / det and g.inverse().inverse() is g
             product = g * g.inverse()
-            assert product.sigma == MatK.identity(3) and product._det == RF_ONE
+            assert product.sigma == MatK.identity(3) and product.det() == RF_ONE
             assert log_deriv(product).matrix.is_zero()
+
+
+def test_group_laws_stay_over_one_denominator(monkeypatch):
+    # elements, products, inverses, log_deriv and adjoint keep numerators
+    # over one denominator: no entry is made canonical until it is read
+    rng = random.Random(35)
+    calls = []
+
+    def counted(nums, den):
+        calls.append(len(nums))
+        return entries(nums, den)
+
+    entries = matrix._entries
+    s, t, a = rand_invertible(rng, 3, 2), rand_invertible(rng, 3, 2), rand_invertible(rng, 3, 1)
+    with monkeypatch.context() as m:
+        m.setattr(matrix, "_entries", counted)
+        sigma, tau, a = GroupElement(s), GroupElement(t), AutomorphicField(a)
+        product, inv = sigma * tau, sigma.inverse()
+        field, adj = log_deriv(sigma), adjoint(sigma, a)
+        assert calls == []
+        # each form is made canonical once, on first read
+        assert product.sigma is product.sigma and field.matrix is field.matrix
+        assert calls == [9, 9]
+    assert sigma.sigma is s
+    assert product.sigma == s * t
+    assert inv.sigma == s.inverse()
+    assert field.matrix == s.derive() * s.inverse()
+    assert adj.matrix == s * a.matrix * s.inverse()
+    for g in (sigma, tau, product, inv):
+        assert g.det() == g.sigma.det()
 
 
 def test_log_deriv_example():
@@ -62,7 +93,7 @@ def test_cocycle_law_random():
         product = sigma * tau
         assert product.sigma == sigma.sigma * tau.sigma
         # the group law gives det(sigma tau) = det sigma det tau, unchecked
-        assert product._det == product.sigma.det()
+        assert product.det() == product.sigma.det()
         lhs = log_deriv(product).matrix
         rhs = log_deriv(sigma).matrix + adjoint(sigma, log_deriv(tau)).matrix
         assert lhs == rhs
@@ -76,7 +107,7 @@ def test_inverse_law_random():
         sigma = GroupElement(rand_invertible(rng, n, 2))
         inv = sigma.inverse()
         assert inv is sigma.inverse() and inv.inverse() is sigma
-        assert inv._det == inv.sigma.det()
+        assert inv.det() == inv.sigma.det()
         assert inv.sigma == sigma.sigma.inverse()
         assert log_deriv(inv).matrix == -adjoint(inv, log_deriv(sigma)).matrix
         assert log_deriv(inv).matrix == inv.sigma.derive() * sigma.sigma

@@ -7,14 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from lievessiot.automorphic import AutomorphicField
 from lievessiot.errors import (BadBlockSize, DimensionMismatch,
                                PrincipalMinorVanishes, Singular)
+from lievessiot.homspace import _sweep, flag_generate, flag_table, riccati_generate, riccati_table
 from lievessiot.matrix import MatK, _entry
+from lievessiot.mpoly import MPoly
 from lievessiot.parsing import parse_matrix
 from lievessiot.ratfunc import RF_ONE, RF_T, RF_ZERO, Poly, RatFunc
 from lievessiot.scalars import GaussianRational
 
-from support import rand_invertible, rand_poly_matrix
+from support import rand_invertible, rand_poly_matrix, rand_ratfunc, ratfuncs
 
 
 def test_constructors_and_indexing():
@@ -145,6 +148,46 @@ def test_principal_minors():
 def test_scalar_multiplication():
     m = parse_matrix("[1, t; 0, 1]")
     assert RatFunc.const(2) * m == m + m
+    # Q(i) scalars, on either side
+    c = GaussianRational(Fraction(1, 2), 3)
+    assert m * c == c * m == RatFunc.const(c) * m == MatK(2, 2, [c, RatFunc.const(c) * RF_T, 0, c])
+    assert MatK.identity(2) * GaussianRational(2) == GaussianRational(2) * MatK.identity(2) \
+        == MatK.identity(2) + MatK.identity(2)
+
+
+def test_sums_run_over_one_denominator(monkeypatch):
+    # + and - over K add numerators over one denominator: no entrywise sum
+    rng = random.Random(22)
+    a, b = (MatK(3, 3, [rand_ratfunc(rng, 2) for _ in range(9)]) for _ in range(2))
+    sums = MatK(3, 3, [x + y for x, y in zip(a.entries, b.entries)])
+    differences = MatK(3, 3, [x - y for x, y in zip(a.entries, b.entries)])
+
+    def entrywise(*args):
+        raise AssertionError("an entrywise RatFunc sum")
+
+    with monkeypatch.context() as m:
+        m.setattr(RatFunc, "_add_signed", entrywise)
+        assert (a + b, a - b) == (sums, differences)
+        assert (a - a).is_zero()
+
+
+def test_symbolic_sums_keep_the_entrywise_path():
+    # MPoly entries have no Z[i][t] form; their sums stay entrywise and give
+    # the Riccati and flag tables again from the closed formulas
+    a = parse_matrix("[t, 2, 1/(t - 1); 3, 1, t; i, 1/t, t^2]")
+    for m in (1, 2):
+        table = riccati_table(riccati_generate(AutomorphicField(a), m))
+        lam = MatK(3 - m, m, [MPoly.var(ij) for ij in sorted(table)])
+        a11, a12, a21, a22 = a.block_split(m)
+        rhs = a21 + a22 * lam - lam * a11 - lam * a12 * lam
+        assert table == {(i + 1, j + 1): rhs[i, j] for i in range(3 - m) for j in range(m)}
+    # the flag system is W of A L = W + L V, V upper triangular
+    lam = MatK(3, 3, [1 if i == j else 0 if i < j else MPoly.var((i, j))
+                      for i in range(1, 4) for j in range(1, 4)])
+    _, v = _sweep(a, lam)
+    w = a * lam - lam * v
+    table = flag_table(flag_generate(AutomorphicField(a)))
+    assert table == {(i, j): w[i - 1, j - 1] for (i, j) in table}
 
 
 # -- det and inverse against sympy over Q(i)(t) -------------------------------
@@ -262,3 +305,40 @@ def test_entry_is_the_canonical_form_of_sympy_cancel(a, b, c):
                     (RF_ZERO - ours, -1)):
         assert (_from_poly(x.num), _from_poly(x.den)) == (sign * p.quo_ground(lead),
                                                           q.quo_ground(lead))
+
+
+# -- sums over one denominator against sympy's cancel over Q(i) ----------------
+
+
+@st.composite
+def _summands(draw):
+    """Two matrices of one shape whose entries have unrelated denominators,
+    share one denominator, or cancel: the second is minus the first but for
+    one entry."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    a = [draw(ratfuncs) for _ in range(rows * cols)]
+    b = [draw(ratfuncs) for _ in range(rows * cols)]
+    kind = draw(st.sampled_from(("unrelated", "shared", "cancel")))
+    if kind == "shared":
+        den = draw(ratfuncs.filter(lambda f: not f.is_zero()))
+        a, b = [x / den for x in a], [x / den for x in b]
+    elif kind == "cancel":
+        b = [-x for x in a[:-1]] + b[-1:]
+    return MatK(rows, cols, a), MatK(rows, cols, b)
+
+
+def _cancelled(x: RatFunc, y: RatFunc, sign: int):
+    """sympy's cancel of x + sign * y, with the denominator made monic."""
+    xn, xd, yn, yd = map(_from_poly, (x.num, x.den, y.num, y.den))
+    p, q = (xn * yd + sign * yn * xd).cancel(xd * yd)
+    return p.quo_ground(q.LC), q.quo_ground(q.LC)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_summands())
+def test_sums_match_sympy_cancel(ab):
+    a, b = ab
+    for got, sign in ((a + b, 1), (a - b, -1)):
+        assert [(_from_poly(e.num), _from_poly(e.den)) for e in got.entries] == \
+            [_cancelled(x, y, sign) for x, y in zip(a.entries, b.entries)]
+    assert (a - a).is_zero() and (a + -a).is_zero()
