@@ -23,7 +23,10 @@ keep their matrix as numerators in Z[i][t] over one denominator, and
 products, inverses, log_deriv, adjoint and gauge_transform are evaluated
 and kept in that form; for a polynomial sigma,
 l(sigma) = sigma' adj(sigma) / det(sigma).  Each entry is made canonical
-once, when sigma, matrix or det() is first read.
+once, when sigma, matrix or det() is first read, after the content that
+all numerators share with the denominator is stripped: every numerator
+of l(sigma^{-1}) = (sigma^{-1})' sigma = (adj' sigma - det' I) det / det^2
+shares det with det^2, and one gcd takes it out for all entries.
 """
 
 from __future__ import annotations

@@ -45,6 +45,8 @@ class PlaneCoords:
     __slots__ = ("n", "m", "Lambda")
 
     def __init__(self, n: int, m: int, Lambda: MatK):
+        if not 1 <= m < n:
+            raise BadBlockSize(f"plane dimension {m} invalid for rank {n}")
         if (Lambda.rows, Lambda.cols) != (n - m, m):
             raise DimensionMismatch(f"plane coordinates must be {(n - m)}x{m}")
         self.n = n
@@ -311,8 +313,6 @@ def reduce_by_plane(a: AutomorphicField, plane: PlaneCoords) -> ReductionResult:
     n, m = plane.n, plane.m
     if a.n != n:
         raise DimensionMismatch("field and plane rank mismatch")
-    if not 1 <= m < n:
-        raise BadBlockSize(f"plane dimension {m} invalid for rank {n}")
     return _reduce(a, _plane_point(plane), m,
                    "plane is not a Riccati solution; block shape not guaranteed")
 

@@ -8,12 +8,16 @@ elimination runs on N for det and on [N | I] for inverse (Bareiss, Math.
 Comp. 22, 1968; Nakos, Turner and Williams, 1997).  Z[i][t] is an integral
 domain and every division inside is exact there, so the eliminations
 run on Gaussian-integer coefficient lists, in Python ints, with no
-Fraction and no gcd; each result entry is brought to canonical form
-once, by one primitive gcd.  Pivots are the first row with a nonzero
-entry, which is deterministic.  Sums and differences of matrices over K
+Fraction and no gcd.  Pivots are the first row with a nonzero entry,
+which is deterministic.  A result over one denominator first loses the
+content that all its numerators share with the denominator, found by
+one gcd and exact divisions (a later numerator that does not share all
+of it costs one more gcd); then each entry is brought to canonical form
+once, by one primitive gcd against what is left, which the first prime
+mostly certifies coprime.  Sums and differences of matrices over K
 take the same route: both operands are written over one common
-denominator, their numerators are added in Z[i][t] and each entry of the
-result is made canonical once.  Ring operations (+, -, *) also run,
+denominator, their numerators are added in Z[i][t] and the result is
+made canonical the same way.  Ring operations (+, -, *) also run,
 entry by entry, on entries of any commutative ring that mixes with K,
 such as MPoly, which is how the Riccati and flag tables evaluate their
 right-hand sides at symbolic coordinates.
@@ -250,18 +254,27 @@ class MatK:
 def _entries(nums, den):
     """The canonical RatFuncs num / den for each num in Z[i][t], den nonzero.
 
-    Each takes one primitive gcd, which also gives the exact quotients
-    (_zgcd), then division by the remaining denominator's leading
-    Gaussian integer.  Entries that share all of den share its Poly.
+    With two or more nonzero numerators over a nonconstant den, their
+    common content goes first (_strip_content), so the numerators of a
+    formula such as (sigma^{-1})' sigma, which all share a factor with
+    den, take one non-unit gcd between them.  Then each entry takes one
+    primitive gcd against what is left of den, which also gives the exact
+    quotients (_zgcd) and is mostly certified coprime by its first prime,
+    then division by the remaining denominator's leading Gaussian
+    integer.  Entries that share all of den share its Poly.
     """
+    nonzero = [k for k, num in enumerate(nums) if num]
+    first = None
+    if len(nonzero) > 1 and len(den) > 1:
+        nums, den, first = _strip_content(nums, den, nonzero)
     lead = den[-1]
     whole = None
     out = []
-    for num in nums:
+    for k, num in enumerate(nums):
         if not num:
             out.append(RF_ZERO)
             continue
-        _, num, d = _zgcd(num, den)
+        _, num, d = first[1] if first and k == first[0] else _zgcd(num, den)
         if d is den:
             if whole is None:
                 whole = _from_zi(den, lead)
@@ -269,6 +282,41 @@ def _entries(nums, den):
         else:
             out.append(RatFunc(_from_zi(num, d[-1]), _from_zi(d, d[-1]), _canonical=True))
     return out
+
+
+def _strip_content(nums, den, nonzero):
+    """Strip the content g = gcd(den, nums[j] for j in nonzero) from nums
+    and den: (nums / g, den / g, (f, _zgcd(nums[f], den))) for f =
+    nonzero[0], with nums and den themselves when g is a unit.  The gcd of
+    nums[f] with den already gives entry f in lowest terms, so it takes
+    no second gcd.
+
+    g starts as that gcd, and each later numerator is divided exactly by
+    g.  When g does not divide nums[k], g shrinks to its gcd with the
+    combination sum (j + 1) nums[j] over k and the later indices, which
+    is mostly their common content with g at once: a unit content then
+    costs one first-prime certificate, not a chain of shrinking gcds.
+    When g divides the combination, it shrinks to its gcd with nums[k]
+    alone.  The quotients kept so far are multiplied by the cofactor.
+    """
+    first = nonzero[0]
+    known = g, q, den_q = _zgcd(nums[first], den)
+    if len(g) == 1:
+        return nums, den, (first, known)
+    out = list(nums)
+    out[first] = q
+    for i, k in enumerate(nonzero[1:], 1):
+        while (q := _zquo(nums[k], g)) is None:
+            h, c, _ = _zgcd(g, _zdot([([(j + 1, 0)], nums[j]) for j in nonzero[i:]]) or nums[k])
+            if len(h) == len(g):
+                h, c, _ = _zgcd(g, nums[k])
+            if len(h) == 1:
+                return nums, den, (first, known)
+            g, den_q = h, _zmul(den_q, c)
+            for j in nonzero[:i]:
+                out[j] = _zmul(out[j], c)
+        out[k] = q
+    return out, den_q, (first, known)
 
 
 def _entry(num, den) -> RatFunc:

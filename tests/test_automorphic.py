@@ -74,6 +74,37 @@ def test_group_laws_stay_over_one_denominator(monkeypatch):
         assert g.det() == g.sigma.det()
 
 
+def test_common_content_takes_one_non_unit_gcd(monkeypatch):
+    # every numerator of l(sigma^{-1}) = (sigma^{-1})' sigma and of
+    # Adj_{sigma^{-1}} l(sigma) shares a factor with their denominator: it is
+    # stripped by one non-unit gcd, and each entry's own gcd is then a unit;
+    # with or without a content, as in l(sigma), no entry pays two gcds
+    rng = random.Random(36)
+    s = rand_invertible(rng, 3, 2)
+    sigma = GroupElement(s)
+    gcds = []
+
+    def counted(a, b):
+        out = zgcd(a, b)
+        gcds.append(len(out[0]) > 1)
+        return out
+
+    zgcd = matrix._zgcd
+    for field, expected, content in (
+            (log_deriv(sigma.inverse()), s.inverse().derive() * s, True),
+            (adjoint(sigma.inverse(), log_deriv(sigma)),
+             s.inverse() * s.derive() * s.inverse() * s, True),
+            (log_deriv(sigma), s.derive() * s.inverse(), False)):
+        gcds.clear()
+        with monkeypatch.context() as m:
+            m.setattr(matrix, "_zgcd", counted)
+            result = field.matrix
+        nonzero = sum(not e.is_zero() for e in result.entries)
+        assert result == expected and nonzero > 1
+        assert gcds.count(True) == (1 if content else 0)
+        assert len(gcds) == nonzero
+
+
 def test_log_deriv_example():
     sigma = GroupElement(parse_matrix("[1, t; 0, 1]"))
     assert log_deriv(sigma).matrix == parse_matrix("[0, 1; 0, 0]")

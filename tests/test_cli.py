@@ -92,6 +92,15 @@ def test_reduce_plane_nonsolution_exit2(capsys):
     assert "solution: NO" in out
 
 
+@pytest.mark.parametrize("m", ["0", "2", "3"])
+def test_reduce_plane_bad_block_size_exit1(capsys, m):
+    # m = 0, n and n + 1 for n = 2 fail on the block size, before any shape check
+    code, out, err = run_cli(capsys, "reduce-plane", "--A", "[0, 0; 1, 0]",
+                             "--L", "[t]", "--m", m)
+    assert (code, out) == (1, "")
+    assert err == f"error[BadBlockSize]: plane dimension {m} invalid for rank 2\n"
+
+
 def test_reduce_flag(capsys):
     code, out, _ = run_cli(capsys, "reduce-flag", "--A", "[0, 0; 1, 0]",
                            "--L", "[1, 0; t, 1]")

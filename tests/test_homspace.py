@@ -60,6 +60,15 @@ def test_riccati_generate_validates_m():
         riccati_generate(a, None)
 
 
+@pytest.mark.parametrize("m", [0, 3, 4])
+def test_plane_coords_validate_m_before_shape(m):
+    # m = 0, n and n + 1 for n = 3 fail on the block size, whatever the shape
+    # of Lambda, the empty (n - m) x m one included
+    for lam in [parse_matrix("[t]")] + ([MatK(3 - m, m, [])] if m <= 3 else []):
+        with pytest.raises(BadBlockSize, match=f"^plane dimension {m} invalid for rank 3$"):
+            PlaneCoords(3, m, lam)
+
+
 def test_riccati_rhs_matches_table_evaluation():
     rng = random.Random(41)
     for _ in range(10):

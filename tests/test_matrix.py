@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
@@ -11,7 +11,7 @@ from lievessiot.automorphic import AutomorphicField
 from lievessiot.errors import (BadBlockSize, DimensionMismatch,
                                PrincipalMinorVanishes, Singular)
 from lievessiot.homspace import _sweep, flag_generate, flag_table, riccati_generate, riccati_table
-from lievessiot.matrix import MatK, _entry
+from lievessiot.matrix import MatK, _entries, _entry
 from lievessiot.mpoly import MPoly
 from lievessiot.parsing import parse_matrix
 from lievessiot.ratfunc import RF_ONE, RF_T, RF_ZERO, Poly, RatFunc
@@ -305,6 +305,52 @@ def test_entry_is_the_canonical_form_of_sympy_cancel(a, b, c):
                     (RF_ZERO - ours, -1)):
         assert (_from_poly(x.num), _from_poly(x.den)) == (sign * p.quo_ground(lead),
                                                           q.quo_ground(lead))
+
+
+@st.composite
+def _one_den_rows(draw):
+    """(nums, den) in Z[i][t]: numerators N_j h over d h, with zero entries,
+    a unit content (h = 1), a single nonzero entry, numerators that are
+    multiples of the whole denominator, or a content that shrinks from h k
+    to h at a later entry."""
+    d, h, k = (draw(_zpoly.filter(bool)) for _ in range(3))
+    nums = draw(st.lists(_zpoly, min_size=1, max_size=5))
+    kind = draw(st.sampled_from(("content", "unit", "single", "whole", "shrink")))
+    if kind == "unit":
+        h = [(1, 0)]
+    den = _zmul_ref(d, h)
+    if kind == "single":
+        nums = [[]] * (len(nums) - 1) + [_zmul_ref(nums[-1] or [(1, 0)], h)]
+    elif kind == "whole":
+        whole = draw(st.lists(st.booleans(), min_size=len(nums), max_size=len(nums)))
+        nums = [_zmul_ref(n, den if w else h) for n, w in zip(nums, whole)]
+    elif kind == "shrink":
+        den = _zmul_ref(den, k)
+        nums = [_zmul_ref(nums[0], _zmul_ref(h, k))] + [_zmul_ref(n, h) for n in nums[1:]]
+    else:
+        nums = [_zmul_ref(n, h) for n in nums]
+    return nums, den
+
+
+_T2_T = [(0, 0), (1, 0), (1, 0)]  # t^2 + t
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_one_den_rows())
+# g = t^2 + t from the first entry divides the combination 2 N_2 + 3 N_3 of
+# the later ones, which is 3 (t^2 + t), or 0, but not N_2
+@example(([_T2_T, [(3, 0)], [(-2, 0), (1, 0), (1, 0)]], _T2_T))
+@example(([_T2_T, [(3, 0)], [(-2, 0)]], _T2_T))
+def test_entries_are_the_canonical_forms_of_sympy_cancel(rows):
+    nums, den = rows
+    ours = _entries(nums, den)
+    assert len(ours) == len(nums)
+    for num, entry in zip(nums, ours):
+        assert all(not p.coeffs or not p.coeffs[-1].is_zero() for p in (entry.num, entry.den))
+        p, q = _qi(num).cancel(_qi(den))
+        lead = q.LC
+        assert (_from_poly(entry.num), _from_poly(entry.den)) == (p.quo_ground(lead),
+                                                                  q.quo_ground(lead))
 
 
 # -- sums over one denominator against sympy's cancel over Q(i) ----------------
