@@ -10,11 +10,12 @@ domain and every division inside is exact there, so the eliminations
 run on Gaussian-integer coefficient lists, in Python ints, with no
 Fraction and no gcd.  Pivots are the first row with a nonzero entry,
 which is deterministic.  A result over one denominator first loses the
-content that all its numerators share with the denominator, found by
-one gcd and exact divisions (a later numerator that does not share all
-of it costs one more gcd); then each entry is brought to canonical form
-once, by one primitive gcd against what is left, which the first prime
-mostly certifies coprime.  Sums and differences of matrices over K
+content that all its numerators share with the denominator: the first
+numerator's gcd with the denominator gives it, and exact divisions
+check that every later numerator shares it (when one does not, nothing
+is stripped).  Then each entry is brought to canonical form once, by one
+primitive gcd against what is left, which the first prime mostly
+certifies coprime.  Sums and differences of matrices over K
 take the same route: both operands are written over one common
 denominator, their numerators are added in Z[i][t] and the result is
 made canonical the same way.  Ring operations (+, -, *) also run,
@@ -254,10 +255,10 @@ class MatK:
 def _entries(nums, den):
     """The canonical RatFuncs num / den for each num in Z[i][t], den nonzero.
 
-    With two or more nonzero numerators over a nonconstant den, their
-    common content goes first (_strip_content), so the numerators of a
-    formula such as (sigma^{-1})' sigma, which all share a factor with
-    den, take one non-unit gcd between them.  Then each entry takes one
+    With two or more nonzero numerators over a nonconstant den, a content
+    that all of them share with den goes first (_strip_content), so the
+    numerators of a formula such as (sigma^{-1})' sigma, which all share
+    a factor with den, take one non-unit gcd between them.  Then each entry takes one
     primitive gcd against what is left of den, which also gives the exact
     quotients (_zgcd) and is mostly certified coprime by its first prime,
     then division by the remaining denominator's leading Gaussian
@@ -287,34 +288,20 @@ def _entries(nums, den):
 def _strip_content(nums, den, nonzero):
     """Strip the content g = gcd(den, nums[j] for j in nonzero) from nums
     and den: (nums / g, den / g, (f, _zgcd(nums[f], den))) for f =
-    nonzero[0], with nums and den themselves when g is a unit.  The gcd of
-    nums[f] with den already gives entry f in lowest terms, so it takes
-    no second gcd.
-
-    g starts as that gcd, and each later numerator is divided exactly by
-    g.  When g does not divide nums[k], g shrinks to its gcd with the
-    combination sum (j + 1) nums[j] over k and the later indices, which
-    is mostly their common content with g at once: a unit content then
-    costs one first-prime certificate, not a chain of shrinking gcds.
-    When g divides the combination, it shrinks to its gcd with nums[k]
-    alone.  The quotients kept so far are multiplied by the cofactor.
+    nonzero[0].  The gcd of nums[f] with den gives g, and entry f in
+    lowest terms, so that entry takes no second gcd.  Each later numerator
+    is divided exactly by g; when g is a unit or does not divide one of
+    them, nums and den come back unchanged and each entry takes its gcd
+    against the whole den.
     """
     first = nonzero[0]
-    known = g, q, den_q = _zgcd(nums[first], den)
+    known = g, _, den_q = _zgcd(nums[first], den)
     if len(g) == 1:
         return nums, den, (first, known)
     out = list(nums)
-    out[first] = q
-    for i, k in enumerate(nonzero[1:], 1):
-        while (q := _zquo(nums[k], g)) is None:
-            h, c, _ = _zgcd(g, _zdot([([(j + 1, 0)], nums[j]) for j in nonzero[i:]]) or nums[k])
-            if len(h) == len(g):
-                h, c, _ = _zgcd(g, nums[k])
-            if len(h) == 1:
-                return nums, den, (first, known)
-            g, den_q = h, _zmul(den_q, c)
-            for j in nonzero[:i]:
-                out[j] = _zmul(out[j], c)
+    for k in nonzero[1:]:
+        if (q := _zquo(nums[k], g)) is None:
+            return nums, den, (first, known)
         out[k] = q
     return out, den_q, (first, known)
 
