@@ -24,8 +24,10 @@ products, inverses, log_deriv, adjoint and gauge_transform are evaluated
 and kept in that form; for a polynomial sigma,
 l(sigma) = sigma' adj(sigma) / det(sigma).  Each entry is made canonical
 once, when sigma, matrix or det() is first read, after the content that
-all numerators share with the denominator is stripped: every numerator
-of l(sigma^{-1}) = (sigma^{-1})' sigma = (adj' sigma - det' I) det / det^2
+all numerators share with the denominator is stripped (matrix._entries,
+when every numerator shares the first one's gcd with the denominator):
+every numerator of
+l(sigma^{-1}) = (sigma^{-1})' sigma = (adj' sigma - det' I) det / det^2
 shares det with det^2, and one gcd takes it out for all entries.
 """
 

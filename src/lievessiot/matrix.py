@@ -258,11 +258,11 @@ def _entries(nums, den):
     With two or more nonzero numerators over a nonconstant den, a content
     that all of them share with den goes first (_strip_content), so the
     numerators of a formula such as (sigma^{-1})' sigma, which all share
-    a factor with den, take one non-unit gcd between them.  Then each entry takes one
-    primitive gcd against what is left of den, which also gives the exact
-    quotients (_zgcd) and is mostly certified coprime by its first prime,
-    then division by the remaining denominator's leading Gaussian
-    integer.  Entries that share all of den share its Poly.
+    a factor with den, take one non-unit gcd between them.  Then each
+    entry takes one primitive gcd against what is left of den, which also
+    gives the exact quotients (_zgcd) and is mostly certified coprime by
+    its first prime, then division by the remaining denominator's leading
+    Gaussian integer.  Entries that share all of den share its Poly.
     """
     nonzero = [k for k, num in enumerate(nums) if num]
     first = None
@@ -286,13 +286,12 @@ def _entries(nums, den):
 
 
 def _strip_content(nums, den, nonzero):
-    """Strip the content g = gcd(den, nums[j] for j in nonzero) from nums
-    and den: (nums / g, den / g, (f, _zgcd(nums[f], den))) for f =
-    nonzero[0].  The gcd of nums[f] with den gives g, and entry f in
-    lowest terms, so that entry takes no second gcd.  Each later numerator
-    is divided exactly by g; when g is a unit or does not divide one of
-    them, nums and den come back unchanged and each entry takes its gcd
-    against the whole den.
+    """(nums / g, den / g, (f, _zgcd(nums[f], den))) for f = nonzero[0]
+    and g = gcd(nums[f], den), when g divides every later numerator; g is
+    then the content that all of them share with den.  The same gcd gives
+    entry f in lowest terms, so that entry takes no second gcd.  When g is
+    a unit or does not divide a later numerator, nums and den come back
+    unchanged and each entry takes its gcd against the whole den.
     """
     first = nonzero[0]
     known = g, _, den_q = _zgcd(nums[first], den)
