@@ -17,7 +17,7 @@ import warnings
 from . import darboux, elliptic, homspace
 from .automorphic import (AutomorphicField, GroupElement,
                           check_automorphic_solution, is_in_subalgebra)
-from .errors import ToolkitError
+from .errors import DimensionMismatch, ToolkitError
 from .matrix import MatK
 from .homspace import NotASolutionWarning
 from .mpoly import MPoly
@@ -65,6 +65,9 @@ def _require(args, command: str, names):
 def _apply_permute(mat: MatK, permute: str | None) -> MatK:
     if not permute:
         return mat
+    if not mat.is_square:
+        # before P A P^T, whose product would name shapes the user never gave
+        raise DimensionMismatch("automorphic field must be square")
     n = mat.rows
     try:
         perm = [int(p) for p in permute.split(",")]

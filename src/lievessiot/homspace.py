@@ -248,15 +248,17 @@ def flag_to_grassmann(flag: FlagCoords, m: int) -> PlaneCoords:
     """Plückerian coordinates of the m-th subspace of the flag.
 
     Derived directly from the LU picture: the m-plane is spanned by the
-    first m columns of the flag matrix, whose top m x m block is unit
-    lower triangular, so the chart never fails.  (The classical closed
-    display for this map self-cancels for some indices and is not used.)
+    first m columns [L11; L21] of the flag matrix, whose top m x m block
+    L11 is unit lower triangular, so the chart never fails and its
+    coordinates are Lambda = L21 L11^{-1}, with L11^{-1} by forward
+    substitution.  (The classical closed display for this map
+    self-cancels for some indices and is not used.)
     """
     n = flag.n
     if not 1 <= m < n:
         raise BadBlockSize(f"plane dimension {m} invalid for rank {n}")
-    first_cols = MatK(n, m, [flag.lam[i, j] for i in range(n) for j in range(m)])
-    return plucker_coords(first_cols, m)
+    top, _, bottom, _ = flag.lam.block_split(m)
+    return PlaneCoords(n, m, bottom * _unit_lower_inverse(top))
 
 
 class ReductionResult(Record):

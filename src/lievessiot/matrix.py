@@ -279,9 +279,9 @@ def _entries(nums, den):
         if d is den:
             if whole is None:
                 whole = _from_zi(den, lead)
-            out.append(RatFunc(_from_zi(num, lead), whole, _canonical=True))
+            out.append(RatFunc._known(_from_zi(num, lead), whole))
         else:
-            out.append(RatFunc(_from_zi(num, d[-1]), _from_zi(d, d[-1]), _canonical=True))
+            out.append(RatFunc._known(_from_zi(num, d[-1]), _from_zi(d, d[-1])))
     return out
 
 

@@ -14,16 +14,18 @@ unary minus, so -t^2 means -(t^2).  Matrices are written row-major as
 same value (round-trip law), with the monic-denominator normalization
 visible in the output.
 
-Two bounds are checked while parsing, before anything is evaluated, so
-that deep nesting cannot exhaust the stack and stacked exponents cannot
-run for minutes: at most 64 parentheses and unary minus signs may be
-open at once, and the '^' exponents on a chain of nested powers may
-multiply to at most 100, so ((t + 1)^10)^10 is allowed and
-((t + 1)^100)^2 is not ((t + 1)^100 takes about a tenth of a second).
-Input beyond either bound raises LimitExceeded.  Chains of '+ -' or
-'* /' are evaluated in a loop, so their length is not bounded.
+Three bounds are checked while parsing, before anything is evaluated, so
+that deep nesting cannot exhaust the stack and stacked exponents or large
+matrices cannot run for minutes: at most 64 parentheses and unary minus
+signs may be open at once; the '^' exponents on a chain of nested powers
+may multiply to at most 100, so ((t + 1)^10)^10 is allowed and
+((t + 1)^100)^2 is not ((t + 1)^100 takes about a tenth of a second); and
+a matrix has at most 12 rows and 12 columns (the flag system of a 12 x 12
+matrix takes about a second, and its cost roughly doubles with each row).
+Input beyond any of these bounds raises LimitExceeded.  Chains of '+ -'
+or '* /' are evaluated in a loop, so their length is not bounded.
 
-A third bound holds while evaluating: before each '+ - * /' and '^',
+A fourth bound holds while evaluating: before each '+ - * /' and '^',
 an upper bound on deg num + deg den of the result, and of every
 intermediate result of the operation, is computed from the operands'
 degrees (k (deg num + deg den) for '^k'; max(deg num) + deg den for a
@@ -46,6 +48,7 @@ _SYMBOLS = "+-*/^()[],;"
 _MAX_NESTING = 64  # parentheses and unary minus signs open at once
 _MAX_EXPONENT = 100  # product of the exponents on a chain of nested powers
 _MAX_DEGREE = 400  # deg num + deg den of every intermediate result
+_MAX_SIZE = 12  # rows, and columns, of a matrix
 
 
 def tokenize(src: str):
@@ -182,8 +185,10 @@ class _Parser:
         while True:
             kind, value, pos = self.next()
             if kind == "sym" and value == ",":
+                _check_size(len(rows[-1]), "columns", pos)
                 rows[-1].append(self.expr())
             elif kind == "sym" and value == ";":
+                _check_size(len(rows), "rows", pos)
                 rows.append([self.expr()])
             elif kind == "sym" and value == "]":
                 break
@@ -232,6 +237,12 @@ def _check_degree(bound: int):
     if bound > _MAX_DEGREE:
         raise LimitExceeded(f"an intermediate result of degree up to {bound}, "
                             f"more than {_MAX_DEGREE}")
+
+
+def _check_size(count: int, what: str, pos: int):
+    # called before a matrix gets one more row or column
+    if count == _MAX_SIZE:
+        raise LimitExceeded(f"matrix with more than {_MAX_SIZE} {what} (at position {pos})")
 
 
 def _apply(op, lhs: RatFunc, rhs: RatFunc) -> RatFunc:

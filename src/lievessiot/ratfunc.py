@@ -5,6 +5,12 @@ Canonical form of a RatFunc: gcd(num, den) = 1 and den monic.  Equality
 is structural equality of canonical forms, so every solution check in
 the package reduces to ==.
 
+One step cancels, _cancel(a, b): g = gcd(a, b), then a / g and b / g if g
+is not constant.  The constructor always takes it and makes den monic.  A
+product takes it on each numerator and the other denominator, a sum
+(Henrici) on the two denominators, then on the new numerator and their
+gcd; such results are canonical and built by RatFunc._known as they are.
+
 Constant and polynomial operands skip the gcd: in a product with a constant
 factor or of two polynomials, or a sum with a polynomial term, each gcd of
 Henrici's rule has a constant operand and is exactly 1.  So Poly.gcd returns
@@ -111,9 +117,6 @@ class Poly:
             while rem and rem[-1].is_zero():
                 rem.pop()
         return Poly(q), Poly(rem)
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -475,12 +478,30 @@ def _from_zi(a, lead) -> "Poly":
 _ONE_POLY = Poly([1])
 
 
+def _cancel(a: Poly, b: Poly):
+    """(a / g, b / g, g) for g = gcd(a, b), monic: the one cancellation step
+    of the RatFunc arithmetic.  A constant g divides nothing."""
+    g = a.gcd(b)
+    if g.degree > 0:
+        a = a.divmod(g)[0]
+        b = b.divmod(g)[0]
+    return a, b, g
+
+
+def _monic_den(num: Poly, den: Poly):
+    """(num / c, den / c) for c the leading coefficient of den."""
+    c = den.leading()
+    if c.re == 1 and not c.im:
+        return num, den
+    return Poly([x / c for x in num.coeffs]), Poly([x / c for x in den.coeffs])
+
+
 class RatFunc:
     """Element of K = C(t) in canonical reduced form."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, _canonical=False):
+    def __init__(self, num, den=None):
         if isinstance(num, (int, GaussianRational)):
             num = Poly.const(num)
         if den is None:
@@ -489,32 +510,27 @@ class RatFunc:
             den = Poly.const(den)
         if den.is_zero():
             raise DivisionByZero("rational function with zero denominator")
-        if not _canonical:
-            num, den = self._reduce(num, den)
+        if num.is_zero():
+            den = _ONE_POLY
+        else:
+            num, den = _monic_den(*_cancel(num, den)[:2])
         self.num = num
         self.den = den
 
     @staticmethod
-    def _reduce(num: Poly, den: Poly):
-        if num.is_zero():
-            return Poly(), _ONE_POLY
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-        lead = den.leading()
-        if not (lead.re == 1 and lead.im == 0):
-            num = Poly([c / lead for c in num.coeffs])
-            den = den.monic()
-        return num, den
+    def _known(num: Poly, den: Poly) -> "RatFunc":
+        """The RatFunc num / den of a pair already in canonical form."""
+        r = object.__new__(RatFunc)
+        r.num, r.den = num, den
+        return r
 
     @staticmethod
     def const(c) -> "RatFunc":
-        return RatFunc(Poly.const(c))
+        return RatFunc._known(Poly.const(c), _ONE_POLY)
 
     @staticmethod
     def t() -> "RatFunc":
-        return RatFunc(Poly.t())
+        return RatFunc._known(Poly.t(), _ONE_POLY)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -541,7 +557,8 @@ class RatFunc:
 
     def _add_signed(self, other, negate: bool):
         # Henrici's algorithm: both operands are canonical, so the only
-        # possible cancellation sits inside g = gcd of the denominators
+        # possible cancellation sits inside g = gcd of the denominators;
+        # coprime denominators are the case g = 1, where nothing divides
         if other.is_zero():
             return self
         if self.is_zero():
@@ -551,23 +568,13 @@ class RatFunc:
         if negate:
             bn = -bn
         if ad.degree == 0 and bd.degree == 0:
-            return RatFunc(an + bn, _ONE_POLY, _canonical=True)
-        g = ad.gcd(bd)
-        if g.degree == 0:
-            num = an * bd + bn * ad
-            if num.is_zero():
-                return RF_ZERO
-            return RatFunc(num, ad * bd, _canonical=True)
-        ad_r = ad.divmod(g)[0]
-        bd_r = bd.divmod(g)[0]
+            return RatFunc._known(an + bn, _ONE_POLY)
+        ad_r, bd_r, g = _cancel(ad, bd)
         num = an * bd_r + bn * ad_r
         if num.is_zero():
             return RF_ZERO
-        h = num.gcd(g)
-        if h.degree > 0:
-            num = num.divmod(h)[0]
-            g = g.divmod(h)[0]
-        return RatFunc(num, ad_r * bd_r * g, _canonical=True)
+        num, g, _ = _cancel(num, g)
+        return RatFunc._known(num, ad_r * bd_r * g)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -597,26 +604,16 @@ class RatFunc:
             return RF_ZERO
         # cross-cancel: the factors inside each numerator/denominator pair
         # are already coprime, so the product below is canonical
-        an, ad = self.num, self.den
-        bn, bd = other.num, other.den
-        g1 = an.gcd(bd)
-        if g1.degree > 0:
-            an = an.divmod(g1)[0]
-            bd = bd.divmod(g1)[0]
-        g2 = bn.gcd(ad)
-        if g2.degree > 0:
-            bn = bn.divmod(g2)[0]
-            ad = ad.divmod(g2)[0]
-        return RatFunc(an * bn, ad * bd, _canonical=True)
+        an, bd, _ = _cancel(self.num, other.den)
+        bn, ad, _ = _cancel(other.num, self.den)
+        return RatFunc._known(an * bn, ad * bd)
 
     __rmul__ = __mul__
 
     def _inv(self) -> "RatFunc":
         if self.is_zero():
             raise DivisionByZero("division by the zero function")
-        lead = self.num.leading()
-        num = Poly([c / lead for c in self.den.coeffs])
-        return RatFunc(num, self.num.monic(), _canonical=True)
+        return RatFunc._known(*_monic_den(self.den, self.num))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -631,7 +628,7 @@ class RatFunc:
         return other / self
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, _canonical=True)
+        return RatFunc._known(-self.num, self.den)
 
     def __pow__(self, n: int):
         if n < 0:

@@ -47,6 +47,26 @@ def test_bad_permute(capsys):
     assert "error[" in err
 
 
+def test_permute_non_square_exit1(capsys):
+    # the shape is checked before P A P^T, so no product the user never
+    # asked for is named
+    code, out, err = run_cli(capsys, "riccati", "--A", "[0, 1, 0; t, 0, 0]", "--m", "1",
+                             "--permute", "1,2")
+    assert (code, out) == (1, "")
+    assert err == "error[DimensionMismatch]: automorphic field must be square\n"
+
+
+def _diagonal(n: int) -> str:
+    return "[" + "; ".join(", ".join("t" if i == j else "0" for j in range(n))
+                           for i in range(n)) + "]"
+
+
+def test_largest_matrix_parses(capsys):
+    # 12 x 12 is the parser's bound; 13 x 13 is in test_malformed_input_exit1
+    code, out, err = run_cli(capsys, "riccati", "--A", _diagonal(12), "--m", "1")
+    assert code == 0 and err == "" and len(out.splitlines()) == 11
+
+
 def test_flag_n3(capsys):
     code, out, _ = run_cli(capsys, "flag", "--A", "[0, 1, 0; 0, 0, 1; t, 0, 0]")
     assert code == 0
@@ -200,6 +220,7 @@ def test_check_missing_argument_exit1(capsys, argv, missing):
     (["check", "--kind", "integral", "--a", "((t+1)^100)^100", "--b", "t"], "LimitExceeded"),
     (["check", "--kind", "integral", "--a", "(t + 1/(t - 1))^100 * (t + 1/(t - 2))^100",
       "--b", "t"], "LimitExceeded"),
+    (["riccati", "--A", _diagonal(13), "--m", "1"], "LimitExceeded"),
 ])
 def test_malformed_input_exit1(capsys, tmp_path, argv, code):
     deep = tmp_path / "deep.txt"

@@ -375,7 +375,7 @@ def test_reductions_run_no_elimination(monkeypatch):
     import lievessiot.matrix as matrix_module
 
     rng = random.Random(52)
-    cases = []
+    cases, planes = [], []
     for n in (2, 3):
         sigma = rand_fundamental(rng, n, max_deg=2)
         a = AutomorphicField(log_deriv(GroupElement(sigma)).matrix)
@@ -385,9 +385,11 @@ def test_reductions_run_no_elimination(monkeypatch):
                   (reduce_by_plane, a, PlaneCoords(n, 1, _bumped(plane.Lambda, 0, 0)), False),
                   (reduce_by_flag, a, flag, True),
                   (reduce_by_flag, a, FlagCoords(_bumped(flag.lam, 1, 0)), False)]
+        # the planes of the same flags, as flag_to_grassmann must find them
+        planes += [(flag, m, plucker_coords(_first_cols(sigma, m), m)) for m in range(1, n)]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a reduction ran an elimination")
+        raise AssertionError("an elimination ran")
 
     monkeypatch.setattr(MatK, "inverse", refuse)
     monkeypatch.setattr(MatK, "det", refuse)
@@ -399,3 +401,5 @@ def test_reductions_run_no_elimination(monkeypatch):
         assert result.is_solution is expected
         assert [(w.category, w.filename) for w in caught] == (
             [] if expected else [(NotASolutionWarning, __file__)])
+    for flag, m, plane in planes:
+        assert flag_to_grassmann(flag, m) == plane

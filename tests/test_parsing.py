@@ -95,6 +95,19 @@ def test_matrix_parsing():
         parse_matrix("[1, 2; 3, 4] extra")
 
 
+def test_matrix_size_bound():
+    def square(n):
+        return "[" + "; ".join(", ".join(["t"] * n) for _ in range(n)) + "]"
+
+    assert parse_matrix(square(12)).rows == parse_matrix(square(12)).cols == 12
+    # more than 12 rows or columns is refused while parsing, before the
+    # entries are evaluated (1/0 would raise DivisionByZeroFunction)
+    for src in (square(13), "[" + "; ".join(["t"] * 13) + "]",
+                "[" + ", ".join(["t"] * 13) + "]", "[" + "; ".join(["1/0"] * 13) + "]"):
+        with pytest.raises(LimitExceeded, match="more than 12"):
+            parse_matrix(src)
+
+
 def test_parse_gaussian():
     assert parse_gaussian("1/2 - 3*i") == gq("1/2", -3)
     with pytest.raises(ExprSyntaxError):
