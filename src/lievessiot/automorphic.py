@@ -36,31 +36,48 @@ from __future__ import annotations
 from .errors import BadBlockSize, DimensionMismatch, Singular, ToolkitError
 from .matrix import MatK, _entry, _OneDen
 from .ratfunc import RatFunc, _zmul, _zpow
+from .records import Record
+
+_set = object.__setattr__  # a _TwoForms sets its fields and caches through this
 
 
 class _TwoForms:
     """A square matrix over K in two forms, each built from the other at
-    most once, on first use: a MatK of canonical entries and a _OneDen."""
+    most once, on first use: a MatK of canonical entries and a _OneDen.
+    Compared, hashed and printed by the MatK; immutable as a Record is."""
 
     __slots__ = ("n", "_mat", "_oneden")
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
 
     def __init__(self, form):
-        if isinstance(form, _OneDen):
-            self.n, self._mat, self._oneden = len(form.rows), None, form
-        elif form.is_square:
-            self.n, self._mat, self._oneden = form.rows, form, None
-        else:
+        one_den = isinstance(form, _OneDen)
+        if not (one_den or form.is_square):
             raise DimensionMismatch(f"{self._what} must be square")
+        _set(self, "n", len(form.rows) if one_den else form.rows)
+        _set(self, "_mat", None if one_den else form)
+        _set(self, "_oneden", form if one_den else None)
 
     def _matk(self) -> MatK:
         if self._mat is None:
-            self._mat = self._oneden.to_matk()
+            _set(self, "_mat", self._oneden.to_matk())
         return self._mat
 
     def _one_den(self) -> _OneDen:
         if self._oneden is None:
-            self._oneden = _OneDen.of(self._mat.entries, self.n)
+            _set(self, "_oneden", _OneDen.of(self._mat.entries, self.n))
         return self._oneden
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._matk() == other._matk()
+
+    def __hash__(self):
+        return hash(self._matk())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._matk()!s})"
 
 
 class AutomorphicField(_TwoForms):
@@ -69,17 +86,6 @@ class AutomorphicField(_TwoForms):
     __slots__ = ()
     _what = "automorphic field"
     matrix = property(_TwoForms._matk)
-
-    def __eq__(self, other):
-        if not isinstance(other, AutomorphicField):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-    def __repr__(self):
-        return f"AutomorphicField({self.matrix!s})"
 
 
 class GroupElement(_TwoForms):
@@ -92,17 +98,19 @@ class GroupElement(_TwoForms):
     def __init__(self, sigma: MatK):
         super().__init__(sigma)
         try:
-            self._det = self._invert()
+            _set(self, "_det", self._invert())
         except Singular:
             raise Singular("group element must be invertible over K") from None
 
     @staticmethod
-    def _known(form, det) -> "GroupElement":
+    def _known(form, det, inverse=None) -> "GroupElement":
         """The element of matrix form (a MatK or a _OneDen) whose determinant
-        num / den the caller knows, as det = (num, den), both nonzero in Z[i][t]."""
+        num / den, and inverse if any, the caller knows: det = (num, den),
+        both nonzero in Z[i][t]."""
         g = object.__new__(GroupElement)
         _TwoForms.__init__(g, form)
-        g._det, g._inverse = det, None
+        _set(g, "_det", det)
+        _set(g, "_inverse", inverse)
         return g
 
     def _invert(self):
@@ -111,8 +119,7 @@ class GroupElement(_TwoForms):
         q = self._one_den()
         inv, det_n = q.inverse()
         det = (det_n, _zpow(q.den, self.n))
-        self._inverse = GroupElement._known(inv, det[::-1])
-        self._inverse._inverse = self
+        _set(self, "_inverse", GroupElement._known(inv, det[::-1], self))
         return det
 
     def det(self) -> RatFunc:
@@ -129,17 +136,6 @@ class GroupElement(_TwoForms):
             return NotImplemented
         (a, b), (c, d) = self._det, other._det
         return GroupElement._known(self._one_den() * other._one_den(), (_zmul(a, c), _zmul(b, d)))
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return self.sigma == other.sigma
-
-    def __hash__(self):
-        return hash(self.sigma)
-
-    def __repr__(self):
-        return f"GroupElement({self.sigma!s})"
 
 
 def log_deriv(sigma: GroupElement) -> AutomorphicField:

@@ -66,7 +66,6 @@ def _apply_permute(mat: MatK, permute: str | None) -> MatK:
     if not permute:
         return mat
     if not mat.is_square:
-        # before P A P^T, whose product would name shapes the user never gave
         raise DimensionMismatch("automorphic field must be square")
     n = mat.rows
     try:
@@ -75,8 +74,8 @@ def _apply_permute(mat: MatK, permute: str | None) -> MatK:
         perm = []
     if sorted(perm) != list(range(1, n + 1)):
         raise ToolkitError(f"--permute must be a permutation of 1..{n}")
-    p = MatK.from_rows([[1 if perm[i] == j + 1 else 0 for j in range(n)] for i in range(n)])
-    return p * mat * p.transpose()
+    # (P A P^T)_ij = A[perm_i, perm_j], P the permutation matrix with P[i, perm_i - 1] = 1
+    return MatK.from_rows([[mat[p - 1, q - 1] for q in perm] for p in perm])
 
 
 def _unknown_names(unknowns):

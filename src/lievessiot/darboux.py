@@ -32,6 +32,7 @@ from .errors import (ChartDenominatorVanishes, DiagonalPoint, DimensionMismatch,
 from .matrix import MatK
 from .mpoly import MPoly
 from .ratfunc import RatFunc, RF_ZERO, _as_rf
+from .records import Record
 from .scalars import GaussianRational, I, ONE, ZERO
 
 
@@ -39,15 +40,13 @@ _I_RF = RatFunc.const(I)
 _HALF = RatFunc.const(GaussianRational("1/2"))
 
 
-class SO3Field:
+class SO3Field(Record):
     """Automorphic field on SO(3), given by the entries a, b, c in K."""
 
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a, b, c):
-        self.a = _as_rf(a)
-        self.b = _as_rf(b)
-        self.c = _as_rf(c)
+        super().__init__(_as_rf(a), _as_rf(b), _as_rf(c))
 
     def matrix(self) -> MatK:
         a, b, c = self.a, self.b, self.c
@@ -57,29 +56,16 @@ class SO3Field:
             [-b, -c, RF_ZERO],
         ])
 
-    def __repr__(self):
-        return f"SO3Field(a={self.a!s}, b={self.b!s}, c={self.c!s})"
 
-
-class SpherePoint:
+class SpherePoint(Record):
     """Exact point of the complexified unit sphere x0^2 + x1^2 + x2^2 = 1."""
 
     __slots__ = ("x0", "x1", "x2")
 
     def __init__(self, x0, x1, x2):
-        self.x0 = GaussianRational(x0)
-        self.x1 = GaussianRational(x1)
-        self.x2 = GaussianRational(x2)
+        super().__init__(GaussianRational(x0), GaussianRational(x1), GaussianRational(x2))
         if self.x0 * self.x0 + self.x1 * self.x1 + self.x2 * self.x2 != ONE:
             raise NotOnSphere("point is not on the unit sphere")
-
-    def __eq__(self, other):
-        if not isinstance(other, SpherePoint):
-            return NotImplemented
-        return (self.x0, self.x1, self.x2) == (other.x0, other.x1, other.x2)
-
-    def __repr__(self):
-        return f"SpherePoint({self.x0}, {self.x1}, {self.x2})"
 
 
 def so3_to_riccati(field: SO3Field):

@@ -27,44 +27,30 @@ from .records import Record
 from .scalars import GaussianRational
 
 
-class WeierstrassCurve:
+class WeierstrassCurve(Record):
     """y^2 = 4x^3 - g2 x - g3 with g2, g3 in Q(i) and g2^3 - 27 g3^2 != 0."""
 
     __slots__ = ("g2", "g3")
 
     def __init__(self, g2, g3):
-        g2 = GaussianRational(g2)
-        g3 = GaussianRational(g3)
-        if g2 * g2 * g2 - GaussianRational(27) * g3 * g3 == GaussianRational(0):
+        super().__init__(GaussianRational(g2), GaussianRational(g3))
+        if self.discriminant().is_zero():
             raise SingularCurve("g2^3 - 27 g3^2 = 0: the cubic has a repeated root")
-        self.g2 = g2
-        self.g3 = g3
 
     def discriminant(self) -> GaussianRational:
         return self.g2 * self.g2 * self.g2 - GaussianRational(27) * self.g3 * self.g3
 
-    def __eq__(self, other):
-        if not isinstance(other, WeierstrassCurve):
-            return NotImplemented
-        return (self.g2, self.g3) == (other.g2, other.g3)
 
-    def __repr__(self):
-        return f"WeierstrassCurve(g2={self.g2}, g3={self.g3})"
-
-
-class CurvePoint:
-    """Point of a Weierstrass curve: Infinity or affine (x, y) over K."""
+class CurvePoint(Record):
+    """Point of a Weierstrass curve: affine (x, y) over K, or Infinity (None, None, True)."""
 
     __slots__ = ("x", "y", "infinite")
 
     def __init__(self, x=None, y=None, infinite=False):
-        self.infinite = infinite
         if infinite:
-            self.x = None
-            self.y = None
+            super().__init__(None, None, True)
         else:
-            self.x = _as_rf(x)
-            self.y = _as_rf(y)
+            super().__init__(_as_rf(x), _as_rf(y), False)
 
     @staticmethod
     def infinity() -> "CurvePoint":
@@ -74,18 +60,6 @@ class CurvePoint:
         if self.infinite:
             return self
         return CurvePoint(self.x, -self.y)
-
-    def __eq__(self, other):
-        if not isinstance(other, CurvePoint):
-            return NotImplemented
-        if self.infinite or other.infinite:
-            return self.infinite == other.infinite
-        return self.x == other.x and self.y == other.y
-
-    def __repr__(self):
-        if self.infinite:
-            return "CurvePoint(infinity)"
-        return f"CurvePoint({self.x!s}, {self.y!s})"
 
 
 def curve_rhs(curve: WeierstrassCurve, x: RatFunc) -> RatFunc:
@@ -198,7 +172,7 @@ def invariant_field_check(curve: WeierstrassCurve) -> TangencyReport:
     )
 
 
-class PendulumParams:
+class PendulumParams(Record):
     """Energy parameter of the pendulum family; h = +-1 is degenerate."""
 
     __slots__ = ("h",)
@@ -207,7 +181,7 @@ class PendulumParams:
         h = GaussianRational(h)
         if h == GaussianRational(1) or h == GaussianRational(-1):
             raise DegenerateEnergy("pendulum energy h = +-1 is degenerate")
-        self.h = h
+        super().__init__(h)
 
 
 class PendulumAudit(Record):

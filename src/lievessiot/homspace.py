@@ -39,7 +39,7 @@ class NotASolutionWarning(UserWarning):
     """Reduction input failed its solution check; the shape guarantee is void."""
 
 
-class PlaneCoords:
+class PlaneCoords(Record):
     """Affine chart on the grassmanian of m-planes in K^n: an (n-m) x m matrix."""
 
     __slots__ = ("n", "m", "Lambda")
@@ -49,71 +49,48 @@ class PlaneCoords:
             raise BadBlockSize(f"plane dimension {m} invalid for rank {n}")
         if (Lambda.rows, Lambda.cols) != (n - m, m):
             raise DimensionMismatch(f"plane coordinates must be {(n - m)}x{m}")
-        self.n = n
-        self.m = m
-        self.Lambda = Lambda
-
-    def __eq__(self, other):
-        if not isinstance(other, PlaneCoords):
-            return NotImplemented
-        return (self.n, self.m, self.Lambda) == (other.n, other.m, other.Lambda)
-
-    def __repr__(self):
-        return f"PlaneCoords(n={self.n}, m={self.m}, {self.Lambda!s})"
+        super().__init__(n, m, Lambda)
 
 
-class FlagCoords:
+class FlagCoords(Record):
     """Affine chart on the flag variety: a unit-lower-triangular matrix."""
 
-    __slots__ = ("n", "lam")
+    __slots__ = ("lam",)
+    n = property(lambda self: self.lam.rows)
 
     def __init__(self, lam: MatK):
         if not lam.is_square:
             raise DimensionMismatch("flag coordinates must be square")
-        n = lam.rows
-        for i in range(n):
+        for i in range(lam.rows):
             if lam[i, i] != RF_ONE:
                 raise DimensionMismatch("flag coordinate matrix must have unit diagonal")
-            for j in range(i + 1, n):
+            for j in range(i + 1, lam.rows):
                 if not lam[i, j].is_zero():
                     raise DimensionMismatch("flag coordinate matrix must be lower triangular")
-        self.n = n
-        self.lam = lam
-
-    def __eq__(self, other):
-        if not isinstance(other, FlagCoords):
-            return NotImplemented
-        return self.lam == other.lam
-
-    def __repr__(self):
-        return f"FlagCoords({self.lam!s})"
+        super().__init__(lam)
 
 
-class RiccatiSystem:
+class RiccatiSystem(Record):
     """The matrix Riccati system of the m-plane chart attached to an automorphic field A."""
 
-    __slots__ = ("n", "m", "A")
-
-    def __init__(self, A: MatK, m: int):
-        self.n = A.rows
-        self.m = m
-        self.A = A
+    __slots__ = ("A", "m")
+    n = property(lambda self: self.A.rows)
 
     def unknowns(self):
         """Unknown index pairs (i, j), 1-based, i = 1..n-m, j = 1..m."""
         return [(i, j) for j in range(1, self.m + 1) for i in range(1, self.n - self.m + 1)]
 
 
-class FlagSystem:
+class FlagSystem(Record):
     """The cubic flag system attached to an automorphic field A."""
 
-    __slots__ = ("n", "A")
+    __slots__ = ("A",)
+    n = property(lambda self: self.A.rows)
 
     def __init__(self, A: MatK):
         if not A.is_square:
             raise DimensionMismatch("flag system needs a square matrix")
-        self.n = A.rows
-        self.A = A
+        super().__init__(A)
 
     def unknowns(self):
         """Strictly-lower index pairs (i, j), 1-based, i > j."""

@@ -14,18 +14,20 @@ unary minus, so -t^2 means -(t^2).  Matrices are written row-major as
 same value (round-trip law), with the monic-denominator normalization
 visible in the output.
 
-Three bounds are checked while parsing, before anything is evaluated, so
+Four bounds are checked while parsing, before anything is evaluated, so
 that deep nesting cannot exhaust the stack and stacked exponents or large
 matrices cannot run for minutes: at most 64 parentheses and unary minus
 signs may be open at once; the '^' exponents on a chain of nested powers
 may multiply to at most 100, so ((t + 1)^10)^10 is allowed and
-((t + 1)^100)^2 is not ((t + 1)^100 takes about a tenth of a second); and
-a matrix has at most 12 rows and 12 columns (the flag system of a 12 x 12
-matrix takes about a second, and its cost roughly doubles with each row).
-Input beyond any of these bounds raises LimitExceeded.  Chains of '+ -'
-or '* /' are evaluated in a loop, so their length is not bounded.
+((t + 1)^100)^2 is not ((t + 1)^100 takes about a tenth of a second); a
+matrix has at most 12 rows and 12 columns (the flag system of a 12 x 12
+matrix takes about a second, and its cost roughly doubles with each row);
+and an integer literal has at most 200 digits, so a printed value with a
+longer coefficient does not parse back.  Input beyond any of these bounds
+raises LimitExceeded.  Chains of '+ -' or '* /' are evaluated in a loop,
+so their length is not bounded.
 
-A fourth bound holds while evaluating: before each '+ - * /' and '^',
+A fifth bound holds while evaluating: before each '+ - * /' and '^',
 an upper bound on deg num + deg den of the result, and of every
 intermediate result of the operation, is computed from the operands'
 degrees (k (deg num + deg den) for '^k'; max(deg num) + deg den for a
@@ -49,6 +51,7 @@ _MAX_NESTING = 64  # parentheses and unary minus signs open at once
 _MAX_EXPONENT = 100  # product of the exponents on a chain of nested powers
 _MAX_DEGREE = 400  # deg num + deg den of every intermediate result
 _MAX_SIZE = 12  # rows, and columns, of a matrix
+_MAX_DIGITS = 200  # digits of an integer literal; int() refuses more than 4300
 
 
 def tokenize(src: str):
@@ -61,10 +64,13 @@ def tokenize(src: str):
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # str.isdigit() also takes '²', which int() refuses
             start = pos
-            while pos < n and src[pos].isdigit():
+            while pos < n and src[pos].isdecimal():
                 pos += 1
+            if pos - start > _MAX_DIGITS:
+                raise LimitExceeded(f"integer literal with more than {_MAX_DIGITS} digits "
+                                    f"(at position {start})")
             out.append(("int", int(src[start:pos]), start))
             continue
         if ch.isalpha():

@@ -1,10 +1,12 @@
-"""Immutable result records.
+"""Immutable values and results.
 
 A Record subclass names its fields in __slots__.  Like a frozen
 dataclass, it is built from the fields by position or keyword, compares
 and hashes by their values, prints as ``Name(field=value, ...)`` and
 refuses assignment; it is defined without the dataclasses module, which
-imports inspect and would be the costliest import of the package.
+imports inspect and would be the costliest import of the package.  A
+value type's __init__ checks and coerces its arguments, then calls
+Record.__init__ with the fields.
 """
 
 from __future__ import annotations

@@ -40,6 +40,17 @@ def test_riccati_permute(capsys):
     assert out.strip() == "x' = 1 + (-t)*x^2"
 
 
+def test_riccati_permute_3_cycle(capsys):
+    # (2 3 1) is not its own inverse, so P A P^T and P^T A P differ; the
+    # second matrix is the first with entry (i, j) taken from (perm_i, perm_j)
+    a = "[1, t, 2; t^2, 3, 0; 5, t + 1, -t]"
+    permuted = run_cli(capsys, "riccati", "--A", a, "--m", "1", "--permute", "2,3,1")
+    by_hand = run_cli(capsys, "riccati", "--A", "[3, 0, t^2; t + 1, -t, 5; t, 2, 1]", "--m", "1")
+    inverse = run_cli(capsys, "riccati", "--A", a, "--m", "1", "--permute", "3,1,2")
+    assert permuted[0] == 0 and permuted == by_hand
+    assert inverse[0] == 0 and inverse != permuted
+
+
 def test_bad_permute(capsys):
     code, _, err = run_cli(capsys, "riccati", "--A", "[0, 1; t, 0]", "--m", "1",
                            "--permute", "1,1")
@@ -167,6 +178,21 @@ def test_elliptic_singular_curve_error(capsys):
     assert "error[SingularCurve]" in err
 
 
+def test_elliptic_solve(capsys):
+    # --point=-1,0 needs the '=': argparse reads a separate -1,0 as a flag
+    code, out, err = run_cli(capsys, "elliptic", "solve", "--g2", "4", "--g3", "0",
+                             "--a", "1", "--b", "0", "--point=-1,0")
+    assert (code, out, err) == (0, "xi = 1\neta = 0\n", "")
+
+
+@pytest.mark.parametrize("command", [["elliptic", "check"], ["check", "--kind", "weierstrass"]])
+@pytest.mark.parametrize("b, expected", [("1", (0, "true\n")), ("t", (2, "false\n"))])
+def test_weierstrass_check(capsys, command, b, expected):
+    # b = 1 has b' = 0 = t^2 (4 - 4); b = t has b' = 1, not t^2 (4t^3 - 4t)
+    code, out, err = run_cli(capsys, *command, "--g2", "4", "--g3", "0", "--a", "t", "--b", b)
+    assert (code, out) == expected and err == ""
+
+
 def test_pendulum(capsys):
     code, out, _ = run_cli(capsys, "pendulum", "--h", "2")
     assert code == 0
@@ -235,6 +261,17 @@ def test_malformed_input_exit1(capsys, tmp_path, argv, code):
         exit_code, out, err = run_cli(capsys, *argv)
     assert exit_code == 1 and out == ""
     assert err.startswith(f"error[{code}]: ") and err.count("\n") == 1
+
+
+def test_long_literal_exit1_without_traceback():
+    # int() refuses a string of more than 4300 digits with a ValueError; the
+    # parser refuses a literal of more than 200 digits before int() sees it
+    argv = ["check", "--kind", "exponential", "--a", "t", "--b", "1" * 5000 + "*t"]
+    proc = subprocess.run([sys.executable, "-m", "lievessiot.cli", *argv],
+                          capture_output=True, text=True, timeout=60, env=src_env())
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error[LimitExceeded]: integer literal with more than 200 digits "
+                           "(at position 0)\n")
 
 
 # Required and optional options of each subcommand, and values to give

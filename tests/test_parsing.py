@@ -45,6 +45,8 @@ def test_syntax_errors_carry_position():
         parse_ratfunc("(t + 1")
     with pytest.raises(ExprSyntaxError):
         parse_ratfunc("t 1")
+    with pytest.raises(ExprSyntaxError):
+        parse_ratfunc("t\u00b2")  # a superscript two: a digit to str.isdigit, not to int()
 
 
 def test_nesting_and_exponent_bounds():
@@ -70,6 +72,17 @@ def test_nesting_and_exponent_bounds():
                 "(t + 1/(t - 1))^100 + (t + 1/(t - 2))^100"):
         with pytest.raises(LimitExceeded):
             (parse_matrix if src.startswith("[") else parse_ratfunc)(src)
+
+
+def test_integer_literal_bound():
+    # 200 digits parse; longer literals are refused before int(), which
+    # itself refuses more than 4300 digits with a ValueError
+    assert parse_ratfunc("9" * 200 + "*t") == RatFunc.const(10 ** 200 - 1) * RF_T
+    for digits in (201, 5000):
+        with pytest.raises(LimitExceeded, match="more than 200 digits"):
+            parse_ratfunc("t + " + "1" * digits)
+    with pytest.raises(LimitExceeded):
+        parse_matrix("[1, 0; 0, " + "7" * 201 + "]")
 
 
 def test_long_chains_are_not_nested():
