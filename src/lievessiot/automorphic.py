@@ -19,81 +19,85 @@ inverse, which is linked back.  Products and inverses take their
 determinants from the group law (det(sigma tau) = det sigma det tau,
 det(sigma^{-1}) = 1/det sigma) with no further check, and each element
 computes its inverse at most once.  Group elements and automorphic fields
-keep their matrix as numerators in Z[i][t] over one denominator, and
-products, inverses, log_deriv, adjoint and gauge_transform are evaluated
-and kept in that form; for a polynomial sigma,
-l(sigma) = sigma' adj(sigma) / det(sigma).  Each entry is made canonical
-once, when sigma, matrix or det() is first read, after the content that
-all numerators share with the denominator is stripped (matrix._entries,
-when every numerator shares the first one's gcd with the denominator):
-every numerator of
+hold one MatK.  Products, inverses, log_deriv, adjoint and
+gauge_transform are evaluated as numerators in Z[i][t] over one
+denominator and kept in that form (matrix.MatK); for a polynomial sigma,
+l(sigma) = sigma' adj(sigma) / det(sigma).  A matrix of canonical
+entries is cleared to one denominator once, when first used by these
+formulas, and then holds both forms.  ==, + and - on kept matrices read
+numerators, so the cocycle law above is checked with no canonical entry.
+Each entry is made canonical once, when an entry of sigma or matrix is
+first read, after the content that all numerators share with the
+denominator is stripped (matrix._entries, when every numerator shares
+the first one's gcd with the denominator): every numerator of
 l(sigma^{-1}) = (sigma^{-1})' sigma = (adj' sigma - det' I) det / det^2
 shares det with det^2, and one gcd takes it out for all entries.
+det() is made canonical on request.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 from .errors import BadBlockSize, DimensionMismatch, Singular, ToolkitError
 from .matrix import MatK, _entry, _OneDen
 from .ratfunc import RatFunc, _zmul, _zpow
 from .records import Record
 
-_set = object.__setattr__  # a _TwoForms sets its fields and caches through this
+_set = object.__setattr__  # a _Square sets its fields through this
 
 
-class _TwoForms:
-    """A square matrix over K in two forms, each built from the other at
-    most once, on first use: a MatK of canonical entries and a _OneDen.
-    Compared, hashed and printed by the MatK; immutable as a Record is."""
+class _Square:
+    """A square matrix over K, held as one MatK: kept over one denominator
+    when built by the group law or by the formulas below, with its entries
+    made canonical on first read.  Compared, hashed and printed by the
+    MatK; immutable as a Record is."""
 
-    __slots__ = ("n", "_mat", "_oneden")
+    __slots__ = ("n", "_mat")
     __setattr__ = Record.__setattr__
     __delattr__ = Record.__delattr__
 
-    def __init__(self, form):
-        one_den = isinstance(form, _OneDen)
-        if not (one_den or form.is_square):
+    def __init__(self, mat: MatK):
+        if not mat.is_square:
             raise DimensionMismatch(f"{self._what} must be square")
-        _set(self, "n", len(form.rows) if one_den else form.rows)
-        _set(self, "_mat", None if one_den else form)
-        _set(self, "_oneden", form if one_den else None)
-
-    def _matk(self) -> MatK:
-        if self._mat is None:
-            _set(self, "_mat", self._oneden.to_matk())
-        return self._mat
+        _set(self, "n", mat.rows)
+        _set(self, "_mat", mat)
 
     def _one_den(self) -> _OneDen:
-        if self._oneden is None:
-            _set(self, "_oneden", _OneDen.of(self._mat.entries, self.n))
-        return self._oneden
+        """The matrix over one denominator; a matrix of canonical entries is
+        cleared once, and then held with both forms."""
+        m = self._mat
+        if m._oneden is None:
+            m = MatK._lazy(_OneDen.of(m.entries, self.n), m.entries)
+            _set(self, "_mat", m)
+        return m._oneden
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._matk() == other._matk()
+        return self._mat == other._mat
 
     def __hash__(self):
-        return hash(self._matk())
+        return hash(self._mat)
 
     def __repr__(self):
-        return f"{type(self).__name__}({self._matk()!s})"
+        return f"{type(self).__name__}({self._mat!s})"
 
 
-class AutomorphicField(_TwoForms):
+class AutomorphicField(_Square):
     """A matrix A in gl(n, K), the right-hand side of x' = A x."""
 
     __slots__ = ()
     _what = "automorphic field"
-    matrix = property(_TwoForms._matk)
+    matrix = property(attrgetter("_mat"))
 
 
-class GroupElement(_TwoForms):
+class GroupElement(_Square):
     """An element of GL(n, K): a square matrix with det != 0 in K."""
 
     __slots__ = ("_det", "_inverse")
     _what = "group element"
-    sigma = property(_TwoForms._matk)
+    sigma = property(attrgetter("_mat"))
 
     def __init__(self, sigma: MatK):
         super().__init__(sigma)
@@ -103,12 +107,11 @@ class GroupElement(_TwoForms):
             raise Singular("group element must be invertible over K") from None
 
     @staticmethod
-    def _known(form, det, inverse=None) -> "GroupElement":
-        """The element of matrix form (a MatK or a _OneDen) whose determinant
-        num / den, and inverse if any, the caller knows: det = (num, den),
-        both nonzero in Z[i][t]."""
+    def _known(mat: MatK, det, inverse=None) -> "GroupElement":
+        """The element of matrix mat whose determinant num / den, and inverse
+        if any, the caller knows: det = (num, den), both nonzero in Z[i][t]."""
         g = object.__new__(GroupElement)
-        _TwoForms.__init__(g, form)
+        _Square.__init__(g, mat)
         _set(g, "_det", det)
         _set(g, "_inverse", inverse)
         return g
@@ -119,7 +122,7 @@ class GroupElement(_TwoForms):
         q = self._one_den()
         inv, det_n = q.inverse()
         det = (det_n, _zpow(q.den, self.n))
-        _set(self, "_inverse", GroupElement._known(inv, det[::-1], self))
+        _set(self, "_inverse", GroupElement._known(inv.to_matk(), det[::-1], self))
         return det
 
     def det(self) -> RatFunc:
@@ -135,19 +138,20 @@ class GroupElement(_TwoForms):
         if not isinstance(other, GroupElement):
             return NotImplemented
         (a, b), (c, d) = self._det, other._det
-        return GroupElement._known(self._one_den() * other._one_den(), (_zmul(a, c), _zmul(b, d)))
+        return GroupElement._known((self._one_den() * other._one_den()).to_matk(),
+                                  (_zmul(a, c), _zmul(b, d)))
 
 
 def log_deriv(sigma: GroupElement) -> AutomorphicField:
     """l(sigma) = sigma' * sigma^{-1}; vanishes on constant matrices."""
-    return AutomorphicField(sigma._one_den().derive() * sigma.inverse()._one_den())
+    return AutomorphicField((sigma._one_den().derive() * sigma.inverse()._one_den()).to_matk())
 
 
 def adjoint(tau: GroupElement, a: AutomorphicField) -> AutomorphicField:
     """Adj_tau(A) = tau * A * tau^{-1}."""
     if tau.n != a.n:
         raise DimensionMismatch("adjoint size mismatch")
-    return AutomorphicField(tau._one_den() * a._one_den() * tau.inverse()._one_den())
+    return AutomorphicField((tau._one_den() * a._one_den() * tau.inverse()._one_den()).to_matk())
 
 
 def gauge_transform(tau: GroupElement, a: AutomorphicField) -> AutomorphicField:
@@ -155,7 +159,7 @@ def gauge_transform(tau: GroupElement, a: AutomorphicField) -> AutomorphicField:
     if tau.n != a.n:
         raise DimensionMismatch("gauge size mismatch")
     t = tau._one_den()
-    return AutomorphicField((t * a._one_den() + t.derive()) * tau.inverse()._one_den())
+    return AutomorphicField(((t * a._one_den() + t.derive()) * tau.inverse()._one_den()).to_matk())
 
 
 def check_automorphic_solution(a: AutomorphicField, sigma: GroupElement) -> bool:

@@ -9,19 +9,30 @@ Comp. 22, 1968; Nakos, Turner and Williams, 1997).  Z[i][t] is an integral
 domain and every division inside is exact there, so the eliminations
 run on Gaussian-integer coefficient lists, in Python ints, with no
 Fraction and no gcd.  Pivots are the first row with a nonzero entry,
-which is deterministic.  A result over one denominator first loses the
-content that all its numerators share with the denominator: the first
-numerator's gcd with the denominator gives it, and exact divisions
-check that every later numerator shares it (when one does not, nothing
-is stripped).  Then each entry is brought to canonical form once, by one
-primitive gcd against what is left, which the first prime mostly
-certifies coprime.  Sums and differences of matrices over K
-take the same route: both operands are written over one common
-denominator, their numerators are added in Z[i][t] and the result is
-made canonical the same way.  Ring operations (+, -, *) also run,
-entry by entry, on entries of any commutative ring that mixes with K,
-such as MPoly, which is how the Riccati and flag tables evaluate their
-right-hand sides at symbolic coordinates.
+which is deterministic.
+
+A MatK built over one denominator (an inverse, a sum, or a formula of
+automorphic.py) is kept in that form, N / d, and its entries are made
+canonical once, when the entries are first read.  Until then, and after,
+== compares numerators, N_A d_B == N_B d_A entry by entry (N_A == N_B
+when the denominators match), with no gcd: A == B exactly when A - B,
+over lcm(d_A, d_B), has the canonical zero's numerators.  + and - add
+numerators over lcm(d_A, d_B), found by one gcd, and unary minus and
+is_zero read the numerators too.  Hashing, indexing, printing and every
+other reader use the canonical entries, so hash agrees with ==.  Sums of
+two matrices of canonical entries also run over one denominator, and
+their entries are made canonical at once.
+
+A result over one denominator first loses the content that all its
+numerators share with the denominator: the first numerator's gcd with
+the denominator gives it, and exact divisions check that every later
+numerator shares it (when one does not, nothing is stripped).  Then
+each entry is brought to canonical form once, by one primitive gcd
+against what is left, which the first prime mostly certifies coprime.
+Ring operations (+, -, *) also run, entry by entry, on entries of any
+commutative ring that mixes with K, such as MPoly, which is how the
+Riccati and flag tables evaluate their right-hand sides at symbolic
+coordinates.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ _SCALARS = (int, GaussianRational, RatFunc)
 
 
 class MatK:
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "_ents", "_oneden")
 
     def __init__(self, rows, cols, entries):
         entries = [RatFunc.const(e) if isinstance(e, (int, GaussianRational)) else e
@@ -46,7 +57,51 @@ class MatK:
             raise DimensionMismatch(f"expected {rows * cols} entries, got {len(entries)}")
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(entries)
+        self._ents = tuple(entries)
+        self._oneden = None
+
+    @staticmethod
+    def _lazy(q: "_OneDen", entries=None) -> "MatK":
+        """The matrix q, kept over one denominator; its entries, when not
+        given, are made canonical on first read."""
+        m = object.__new__(MatK)
+        m.rows, m.cols = len(q.rows), len(q.rows[0])
+        m._ents, m._oneden = entries, q
+        return m
+
+    @property
+    def entries(self):
+        """The canonical entries, row-major."""
+        if self._ents is None:
+            q = self._oneden
+            self._ents = tuple(_entries([a for r in q.rows for a in r], q.den))
+        return self._ents
+
+    def _one_den(self) -> "_OneDen":
+        """This matrix over one denominator: the one it is kept over, or
+        one cleared from its entries."""
+        q = self._oneden
+        return _OneDen.of(self.entries, self.cols) if q is None else q
+
+    def _over_k(self) -> bool:
+        return self._oneden is not None or all(isinstance(e, RatFunc) for e in self._ents)
+
+    def _read_numerators(self, other: "MatK") -> bool:
+        """True when either matrix is kept over one denominator and both are
+        over K: then ==, + and - read numerators."""
+        return ((self._oneden is not None or other._oneden is not None)
+                and self._over_k() and other._over_k())
+
+    def _fractions(self):
+        """(num, den) in Z[i][t] for each entry, row-major."""
+        q = self._oneden
+        if q is not None:
+            return [(a, q.den) for r in q.rows for a in r]
+        out = []
+        for e in self._ents:
+            (n, a), (d, b) = _clear(e.num), _clear(e.den)
+            out.append((_zmul(n, [(b, 0)]), _zmul(d, [(a, 0)])))
+        return out
 
     @staticmethod
     def from_rows(rows) -> "MatK":
@@ -84,6 +139,9 @@ class MatK:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch(f"matrix {'subtraction' if negate else 'addition'} shape mismatch")
+        if self._read_numerators(other):
+            q = other._one_den()
+            return MatK._lazy(self._one_den() + (-q if negate else q))
         both = self.entries + other.entries
         if not all(isinstance(e, RatFunc) for e in both):
             return MatK(self.rows, self.cols,
@@ -100,7 +158,9 @@ class MatK:
         return self._sum(other, True)
 
     def __neg__(self):
-        return MatK(self.rows, self.cols, [-a for a in self.entries])
+        if self._oneden is not None:
+            return MatK._lazy(-self._oneden)
+        return MatK(self.rows, self.cols, [-a for a in self._ents])
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
@@ -112,16 +172,17 @@ class MatK:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        ents, other_ents = self.entries, other.entries
         out = []
         for i in range(self.rows):
-            arow = self.entries[i * self.cols:(i + 1) * self.cols]
+            arow = ents[i * self.cols:(i + 1) * self.cols]
             for j in range(other.cols):
                 acc = RF_ZERO
                 for k in range(self.cols):
                     a = arow[k]
                     if a.is_zero():
                         continue
-                    acc = acc + a * other.entries[k * other.cols + j]
+                    acc = acc + a * other_ents[k * other.cols + j]
                 out.append(acc)
         return MatK(self.rows, other.cols, out)
 
@@ -147,15 +208,17 @@ class MatK:
         return MatK(self.rows, self.cols, [a.derive() for a in self.entries])
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.entries)
+        if self._oneden is not None:
+            return not any(a for r in self._oneden.rows for a in r)
+        return all(a.is_zero() for a in self._ents)
 
     def det(self) -> RatFunc:
         """Exact determinant: det N / d^n, det N from _gauss_jordan on N."""
         if not self.is_square:
             raise DimensionMismatch("determinant of a non-square matrix")
-        q = _OneDen.of(self.entries, self.cols)
+        q = self._one_den()
         try:
-            pivot, negate = _gauss_jordan(q.rows, self.rows)
+            pivot, negate = _gauss_jordan([list(r) for r in q.rows], self.rows)
         except Singular:
             return RF_ZERO
         return _entry(_zneg(pivot) if negate else pivot, _zpow(q.den, self.rows))
@@ -164,7 +227,7 @@ class MatK:
         """Exact inverse d * adj(N) / det(N) by fraction-free Gauss-Jordan; raises Singular."""
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
-        return _OneDen.of(self.entries, self.cols).inverse()[0].to_matk()
+        return self._one_den().inverse()[0].to_matk()
 
     def principal_minors(self):
         """The n leading principal minors (top-left k x k determinants)."""
@@ -233,7 +296,15 @@ class MatK:
     def __eq__(self, other):
         if not isinstance(other, MatK):
             return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            return False
+        if not self._read_numerators(other):
+            return self.entries == other.entries
+        p, q = self._oneden, other._oneden
+        if p is not None and q is not None and p.den == q.den:
+            return p.rows == q.rows
+        return all(_zmul(a, e) == _zmul(b, d)
+                   for (a, d), (b, e) in zip(self._fractions(), other._fractions()))
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.entries))
@@ -350,9 +421,10 @@ class _OneDen:
 
     Products, sums, the derivative and the eliminations stay in this
     form and in Python ints, so a formula such as sigma' sigma^{-1} is
-    evaluated in Z[i][t] and each entry of the result is brought to
-    canonical form once, by to_matk.  The denominator need not be monic,
-    primitive or reduced against the rows.
+    evaluated in Z[i][t]; to_matk keeps the result in this form, and each
+    entry is brought to canonical form once, when the entries are first
+    read.  The denominator need not be monic, primitive or reduced
+    against the rows.
     """
 
     __slots__ = ("rows", "den")
@@ -398,9 +470,15 @@ class _OneDen:
                         for arow in self.rows], _zmul(self.den, other.den))
 
     def __add__(self, other: "_OneDen") -> "_OneDen":
+        """N / d + M / e over lcm(d, e) = d (e / h), with h = gcd(d, e) from
+        one _zgcd, or from none when d == e."""
         d, e = self.den, other.den
-        return _OneDen([[_zdot(((a, e), (b, d))) for a, b in zip(r, s)]
-                        for r, s in zip(self.rows, other.rows)], _zmul(d, e))
+        _, f, g = (None, _ZONE, _ZONE) if d == e else _zgcd(d, e)
+        return _OneDen([[_zdot(((a, g), (b, f))) for a, b in zip(r, s)]
+                        for r, s in zip(self.rows, other.rows)], _zmul(d, g))
+
+    def __neg__(self) -> "_OneDen":
+        return _OneDen([[_zneg(a) for a in r] for r in self.rows], self.den)
 
     def derive(self) -> "_OneDen":
         """(N / d)' = (N' d - N d') / d^2, and N' / d for a constant d."""
@@ -421,5 +499,4 @@ class _OneDen:
                 _zneg(pivot) if negate else pivot)
 
     def to_matk(self) -> MatK:
-        return MatK(len(self.rows), len(self.rows[0]),
-                    _entries([a for r in self.rows for a in r], self.den))
+        return MatK._lazy(self)

@@ -36,6 +36,19 @@ raises LimitExceeded before the operation runs.  So (t + 1/(t - 1))^100,
 of degree 300, and its sum with itself are allowed, and a product of two
 such powers, or their sum over different denominators, is not; nor does
 a printed value above that degree parse back.
+
+A sixth bound, next to it, holds on coefficient size, so that
+(<200 digits>/<199 digits>*t + 1)^100, inside every bound above, cannot
+run for seconds: before each '^k', k times the bit size of the base
+(for num and den each written as A / m, A in Z[i][t] and m a positive
+integer: the bit length of A's largest part, of m and of A's number of
+terms, summed) estimates the bit length of the result's coefficients;
+after each '+ - * /' and '^' the result's coefficients are measured.  Above
+14000 bits, in a numerator or a denominator of any coefficient, the
+input raises LimitExceeded; Python's int() and str() refuse integers of
+more than 4300 digits (about 14284 bits).  The printer raises
+LimitExceeded on such a coefficient too, so an output grown from bounded
+inputs cannot end in a traceback.
 """
 
 from __future__ import annotations
@@ -43,7 +56,7 @@ from __future__ import annotations
 from .errors import (DivisionByZero, DivisionByZeroFunction, ExprSyntaxError, LimitExceeded,
                      RaggedRows)
 from .matrix import MatK
-from .ratfunc import Poly, RatFunc
+from .ratfunc import Poly, RatFunc, _clear
 from .scalars import GaussianRational
 
 _SYMBOLS = "+-*/^()[],;"
@@ -52,6 +65,7 @@ _MAX_EXPONENT = 100  # product of the exponents on a chain of nested powers
 _MAX_DEGREE = 400  # deg num + deg den of every intermediate result
 _MAX_SIZE = 12  # rows, and columns, of a matrix
 _MAX_DIGITS = 200  # digits of an integer literal; int() refuses more than 4300
+_MAX_BITS = 14000  # bits of a coefficient's numerator or denominator; str() refuses 4300 digits
 
 
 def tokenize(src: str):
@@ -225,7 +239,10 @@ def eval_expr(node) -> RatFunc:
     if tag == "pow":
         base = eval_expr(node[1])
         _check_degree(node[2] * (max(base.num.degree, 0) + base.den.degree))
-        return base ** node[2]
+        _check_bits(node[2] * (_cleared_bits(base.num) + _cleared_bits(base.den)), "about ")
+        out = base ** node[2]
+        _check_bits(_measured_bits(out))
+        return out
     if tag == "bin":
         # a chain a op b op c ... is left-nested; walk its spine in a loop
         chain = []
@@ -245,6 +262,32 @@ def _check_degree(bound: int):
                             f"more than {_MAX_DEGREE}")
 
 
+def _cleared_bits(p: Poly) -> int:
+    """Bits of p = A / m, A in Z[i][t] and m > 0: those of A's largest part,
+    of m and of A's number of terms; k times this estimates the bit length
+    of p^k's coefficients."""
+    a, m = _clear(p)
+    return max((x.bit_length() for c in a for x in c), default=0) + m.bit_length() \
+        + len(a).bit_length()
+
+
+def _measured_bits(r: RatFunc) -> int:
+    """The largest bit length of a numerator or denominator of r's coefficients."""
+    acc = 0  # the bit length of an OR of nonnegative ints is their largest
+    for p in (r.num, r.den):
+        for c in p.coeffs:
+            a, b = c.re.as_integer_ratio()
+            x, y = c.im.as_integer_ratio()
+            acc |= abs(a) | b | abs(x) | y
+    return acc.bit_length()
+
+
+def _check_bits(bits: int, qualifier: str = ""):
+    if bits > _MAX_BITS:
+        raise LimitExceeded(f"an intermediate result with coefficients of {qualifier}{bits} bits, "
+                            f"more than {_MAX_BITS}")
+
+
 def _check_size(count: int, what: str, pos: int):
     # called before a matrix gets one more row or column
     if count == _MAX_SIZE:
@@ -261,15 +304,18 @@ def _apply(op, lhs: RatFunc, rhs: RatFunc) -> RatFunc:
     else:
         _check_degree(max(an + bd, bn + ad) + ad + bd)
     if op == "+":
-        return lhs + rhs
-    if op == "-":
-        return lhs - rhs
-    if op == "*":
-        return lhs * rhs
-    try:
-        return lhs / rhs
-    except DivisionByZero:
-        raise DivisionByZeroFunction("denominator simplifies to the zero function") from None
+        out = lhs + rhs
+    elif op == "-":
+        out = lhs - rhs
+    elif op == "*":
+        out = lhs * rhs
+    else:
+        try:
+            out = lhs / rhs
+        except DivisionByZero:
+            raise DivisionByZeroFunction("denominator simplifies to the zero function") from None
+    _check_bits(_measured_bits(out))
+    return out
 
 
 def parse_expr(src: str):
@@ -300,22 +346,33 @@ def parse_matrix(src: str) -> MatK:
 # -- canonical printing ------------------------------------------------------
 
 
+def _num_text(x) -> str:
+    """str(x) for a Fraction x, or LimitExceeded above _MAX_BITS, before
+    str() refuses an int of more than 4300 digits."""
+    a, b = x.as_integer_ratio()
+    bits = (abs(a) | b).bit_length()
+    if bits > _MAX_BITS:
+        raise LimitExceeded(f"a result with a coefficient of {bits} bits, more than "
+                            f"{_MAX_BITS}, is too long to print")
+    return str(x)
+
+
 def format_gaussian(g: GaussianRational) -> str:
     re, im = g.re, g.im
     if im == 0:
-        return str(re)
+        return _num_text(re)
     if im == 1:
         im_str = "i"
     elif im == -1:
         im_str = "-i"
     else:
-        im_str = f"{im}*i"
+        im_str = f"{_num_text(im)}*i"
     if re == 0:
         return im_str
     if im < 0:
-        mag = "i" if im == -1 else f"{-im}*i"
-        return f"{re} - {mag}"
-    return f"{re} + {im_str}"
+        mag = "i" if im == -1 else f"{_num_text(-im)}*i"
+        return f"{_num_text(re)} - {mag}"
+    return f"{_num_text(re)} + {im_str}"
 
 
 def _term_pieces(c: GaussianRational, k: int):
@@ -325,14 +382,14 @@ def _term_pieces(c: GaussianRational, k: int):
         neg = c.re < 0
         mag = abs(c.re)
         if mono is None:
-            return neg, str(mag)
+            return neg, _num_text(mag)
         if mag == 1:
             return neg, mono
-        return neg, f"{mag}*{mono}"
+        return neg, f"{_num_text(mag)}*{mono}"
     if c.re == 0:
         neg = c.im < 0
         mag = abs(c.im)
-        coeff = "i" if mag == 1 else f"{mag}*i"
+        coeff = "i" if mag == 1 else f"{_num_text(mag)}*i"
         if mono is None:
             return neg, coeff
         return neg, f"{coeff}*{mono}"

@@ -46,7 +46,7 @@ def test_group_element_eliminates_once(monkeypatch):
 
 def test_group_laws_stay_over_one_denominator(monkeypatch):
     # elements, products, inverses, log_deriv and adjoint keep numerators
-    # over one denominator: no entry is made canonical until it is read
+    # over one denominator: no entry is made canonical until an entry is read
     rng = random.Random(35)
     calls = []
 
@@ -61,11 +61,12 @@ def test_group_laws_stay_over_one_denominator(monkeypatch):
         sigma, tau, a = GroupElement(s), GroupElement(t), AutomorphicField(a)
         product, inv = sigma * tau, sigma.inverse()
         field, adj = log_deriv(sigma), adjoint(sigma, a)
-        assert calls == []
-        # each form is made canonical once, on first read
         assert product.sigma is product.sigma and field.matrix is field.matrix
+        assert calls == []
+        # each matrix is made canonical once, on the first read of an entry
+        assert product.sigma[0, 0] is product.sigma[0, 0] and field.matrix.entries is field.matrix.entries
         assert calls == [9, 9]
-    assert sigma.sigma is s
+    assert sigma.sigma == s and sigma.sigma.entries is s.entries
     assert product.sigma == s * t
     assert inv.sigma == s.inverse()
     assert field.matrix == s.derive() * s.inverse()
@@ -99,10 +100,40 @@ def test_common_content_takes_one_non_unit_gcd(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(matrix, "_zgcd", counted)
             result = field.matrix
+            assert gcds == []
+            result.entries
         nonzero = sum(not e.is_zero() for e in result.entries)
         assert result == expected and nonzero > 1
         assert gcds.count(True) == (1 if content else 0)
         assert len(gcds) == nonzero
+
+
+def test_cocycle_law_reads_numerators(monkeypatch):
+    # both sides of l(sigma tau) = l(sigma) + Adj_sigma l(tau) stay over one
+    # denominator: the sum takes one gcd, for lcm(d_A, d_B), and == compares
+    # numerators, so no entry is made canonical
+    rng = random.Random(37)
+    sigma, tau = (GroupElement(rand_invertible(rng, 3, 2)) for _ in range(2))
+    calls = {"_entries": 0, "_zgcd": 0}
+
+    def counted(name):
+        original = getattr(matrix, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return call
+
+    with monkeypatch.context() as m:
+        for name in calls:
+            m.setattr(matrix, name, counted(name))
+        lhs = log_deriv(sigma * tau).matrix
+        rhs = log_deriv(sigma).matrix + adjoint(sigma, log_deriv(tau)).matrix
+        assert lhs == rhs
+    assert calls == {"_entries": 0, "_zgcd": 1}
+    assert lhs != rhs + parse_matrix("[t, 0, 0; 0, 0, 0; 0, 0, 0]")
+    assert lhs.entries == rhs.entries and hash(lhs) == hash(rhs)
 
 
 def test_log_deriv_example():

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -272,6 +273,19 @@ def test_long_literal_exit1_without_traceback():
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == ("error[LimitExceeded]: integer literal with more than 200 digits "
                            "(at position 0)\n")
+
+
+def test_large_coefficients_exit1_without_traceback():
+    # (<52 sevens>*t + 1)^100 has coefficients of over 4300 digits, which
+    # str() refuses; the parser's coefficient bound refuses it first
+    argv = ["riccati", "--A", f"[({'7' * 52}*t+1)^100, 1; 0, 0]", "--m", "1"]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "lievessiot.cli", *argv],
+                          capture_output=True, text=True, timeout=60, env=src_env())
+    assert time.perf_counter() - start < 10
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error[LimitExceeded]: an intermediate result with coefficients of "
+                           "about 17900 bits, more than 14000\n")
 
 
 # Required and optional options of each subcommand, and values to give

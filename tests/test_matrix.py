@@ -11,7 +11,7 @@ from lievessiot.automorphic import AutomorphicField
 from lievessiot.errors import (BadBlockSize, DimensionMismatch,
                                PrincipalMinorVanishes, Singular)
 from lievessiot.homspace import _sweep, flag_generate, flag_table, riccati_generate, riccati_table
-from lievessiot.matrix import MatK, _entries, _entry
+from lievessiot.matrix import MatK, _entries, _entry, _OneDen
 from lievessiot.mpoly import MPoly
 from lievessiot.parsing import parse_matrix
 from lievessiot.ratfunc import RF_ONE, RF_T, RF_ZERO, Poly, RatFunc
@@ -387,3 +387,99 @@ def test_sums_match_sympy_cancel(ab):
         assert [(_from_poly(e.num), _from_poly(e.den)) for e in got.entries] == \
             [_cancelled(x, y, sign) for x, y in zip(a.entries, b.entries)]
     assert (a - a).is_zero() and (a + -a).is_zero()
+
+
+# -- matrices kept over one denominator against their canonical forms ---------
+
+
+def _zadd_ref(a, b):
+    out = [(0, 0)] * max(len(a), len(b))
+    for p in (a, b):
+        for k, (re, im) in enumerate(p):
+            out[k] = (out[k][0] + re, out[k][1] + im)
+    return _trim(out)
+
+
+@st.composite
+def _one_den_pairs(draw):
+    """Two matrices of one shape, each as numerator rows over one
+    denominator in Z[i][t]: unrelated, equal over different denominators
+    (N c / d c against N / d), both zero, or equal but for one entry off by t."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    nonzero = _zpoly.filter(bool)
+
+    def numerators():
+        return [[draw(_zpoly) for _ in range(cols)] for _ in range(rows)]
+
+    na, da = numerators(), draw(nonzero)
+    kind = draw(st.sampled_from(("unrelated", "scaled", "zero", "off_by_t")))
+    if kind == "unrelated":
+        nb, db = numerators(), draw(nonzero)
+    elif kind == "scaled":
+        c = draw(nonzero)
+        nb, db = [[_zmul_ref(x, c) for x in r] for r in na], _zmul_ref(da, c)
+    elif kind == "zero":
+        na = nb = [[[]] * cols for _ in range(rows)]
+        db = draw(nonzero)
+    else:
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        nb, db = [list(r) for r in na], da
+        nb[i][j] = _zadd_ref(nb[i][j], _zmul_ref([(0, 0), (1, 0)], da))
+    return (na, da), (nb, db)
+
+
+def _kept(nums, den) -> MatK:
+    return _OneDen([list(r) for r in nums], den).to_matk()
+
+
+def _canonical(nums, den) -> MatK:
+    return MatK(len(nums), len(nums[0]), _entries([x for r in nums for x in r], den))
+
+
+def _monic_cancel(p, q):
+    p, q = p.cancel(q)
+    return p.quo_ground(q.LC), q.quo_ground(q.LC)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_one_den_pairs(), st.booleans())
+def test_kept_matrices_agree_with_canonical(pair, both_kept):
+    # ==, +, -, unary -, is_zero and hash of matrices kept over one
+    # denominator, alone or mixed with canonical operands, against the same
+    # operations on the canonical matrices _entries builds and against sympy
+    (na, da), (nb, db) = pair
+    a, b = _canonical(na, da), _canonical(nb, db)
+
+    def operands():
+        return _kept(na, da), _kept(nb, db) if both_kept else b
+
+    equal = all(not _qi(x) * _qi(db) - _qi(y) * _qi(da)
+                for r, s in zip(na, nb) for x, y in zip(r, s))
+    x, y = operands()
+    assert (x == y) is (y == x) is (a == b) is equal
+    assert (x != y) is not equal
+    x, y = operands()
+    sums, differences = x + y, x - y
+    for got, want, sign in ((sums, a + b, 1), (differences, a - b, -1)):
+        assert got == want and got.entries == want.entries
+        assert [(_from_poly(e.num), _from_poly(e.den)) for e in got.entries] == [
+            _monic_cancel(_qi(p) * _qi(db) + sign * _qi(q) * _qi(da), _qi(da) * _qi(db))
+            for r, s in zip(na, nb) for p, q in zip(r, s)]
+    x, y = operands()
+    assert differences.is_zero() is equal and x.is_zero() is a.is_zero()
+    assert (-x).entries == (-a).entries and -x == -a and (-x).is_zero() is a.is_zero()
+    assert (x + -x).is_zero() and (y - y).is_zero()
+    x, y = operands()
+    assert hash(x) == hash(a) and hash(y) == hash(b)
+    assert x.entries == a.entries and x == a and y == b
+
+
+def test_kept_matrices_mix_with_symbolic_entries():
+    # MPoly entries have no form over one denominator: with them, a matrix
+    # kept over one denominator is read entry by entry
+    nums, den = [[[(1, 0)], [(0, 1), (2, 0)]], [[], [(3, 0)]]], [(1, 0), (1, 0)]
+    sym = MatK(2, 2, [MPoly.var((1, 1)), 1, RF_T, MPoly.var((2, 2))])
+    a = _canonical(nums, den)
+    assert _kept(nums, den) + sym == a + sym and sym - _kept(nums, den) == sym - a
+    assert (_kept(nums, den) == sym) is (a == sym) is False
+    assert (_kept(nums, den) + sym) - sym == a

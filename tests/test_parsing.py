@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -83,6 +84,36 @@ def test_integer_literal_bound():
             parse_ratfunc("t + " + "1" * digits)
     with pytest.raises(LimitExceeded):
         parse_matrix("[1, 0; 0, " + "7" * 201 + "]")
+
+
+def test_coefficient_size_bound():
+    # 200-digit coefficients raised to the 100th would take seconds and
+    # print beyond str()'s 4300 digits: the estimate refuses them at once
+    long = "(" + "7" * 200 + "/" + "3" * 199 + "*t+1)^100"
+    start = time.process_time()
+    with pytest.raises(LimitExceeded, match="coefficients of about"):
+        parse_ratfunc(long)
+    assert time.process_time() - start < 2
+    # a power whose estimate stays within the bound parses and prints
+    near = parse_ratfunc("(" + "7" * 40 + "*t+1)^100")
+    assert near == (RatFunc.const(int("7" * 40)) * RF_T + RF_ONE) ** 100
+    assert format_ratfunc(near).count("t^") == 99
+    # each operand is within the bound; their product is measured above it
+    with pytest.raises(LimitExceeded, match="coefficients of 265"):
+        parse_ratfunc(f"({'7' * 40}*t+1)^100*({'7' * 40}*t+3)^100")
+    with pytest.raises(LimitExceeded):
+        parse_matrix(f"[1, ({'7' * 52}*t+1)^100]")
+
+
+def test_printer_refuses_coefficients_beyond_str():
+    # str() refuses an int of more than 4300 digits with a ValueError
+    big = GaussianRational(10 ** 4400, 1)
+    for text in (lambda: format_gaussian(big), lambda: format_gaussian(GaussianRational(1, big.re)),
+                 lambda: format_ratfunc(RatFunc.const(big) * RF_T),
+                 lambda: format_ratfunc(RF_T / RatFunc.const(gq(0, 10 ** 4400)))):
+        with pytest.raises(LimitExceeded, match="too long to print"):
+            text()
+    assert format_gaussian(GaussianRational(10 ** 4000, -1)) == str(10 ** 4000) + " - i"
 
 
 def test_long_chains_are_not_nested():
